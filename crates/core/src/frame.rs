@@ -23,8 +23,11 @@
 //!
 //! The `ret_flag`/`ret_val` pair is the frame's *return slot* (§4.2): a
 //! completed child writes its small (≤ 8 byte) result into its parent's
-//! slot and flushes it **before** the pop marker flip, so the value is
-//! durable by the time the child's completion linearizes.
+//! slot, durable **no later than** the pop marker flip, so the value is
+//! durable by the time the child's completion linearizes. Slot and
+//! marker are the frame's last ten bytes: when they share a cache line
+//! one flush persists all of them atomically (see
+//! `stack::unlink_above`), otherwise the slot is flushed first.
 //!
 //! Pointer frame layout (10 bytes):
 //!

@@ -9,6 +9,32 @@
 //! 4. persist the small return value into the **caller's** slot (§4.2);
 //! 5. pop the frame — the `RET`, linearized by the reverse marker flip.
 //!
+//! Steps 1–2 and 4–5 are each one protocol in shared stack code
+//! (`PersistentStack::push_frame` / `pop_frame`), which lets steps that
+//! touch the same cache line share a persist round-trip. The caller's
+//! return flag, return value and end marker are the last ten bytes of
+//! its frame, and the callee's frame starts right after them; the
+//! emulated region keeps or loses each dirty line as a whole.
+//!
+//! * **`CALL` — 2 round-trips.** The cleared flag is written but not
+//!   flushed on its own: it rides the new frame's flush, which runs
+//!   from the flag through the end of the frame. The marker flip is
+//!   the second round-trip. Both are required by §3.4: the frame must
+//!   be durable before the flip, and the flip must be durable.
+//! * **`RET` — 1 round-trip when the caller's flag, value and marker
+//!   share a line.** Value, flag and the pop flip are written in that
+//!   order and flushed once. A crash keeps all three or none, so the
+//!   pop can never be durable without its completion record. A root
+//!   invocation always takes this path: its caller is the dummy frame
+//!   at a cache-line-aligned stack base.
+//! * **`RET` — 3 round-trips when the ten bytes straddle a line:**
+//!   value, then flag, then flip, each persisted before the next.
+//!
+//! A root call that returns a value therefore costs 3 round-trips on a
+//! buffered region. On real hardware the one-line `RET` relies on
+//! stores to one cache line becoming persistent in program order
+//! (Px86's same-line ordering).
+//!
 //! A crash anywhere in this sequence leaves the stack describing
 //! exactly the invocations that must be re-examined: recovery
 //! ([`recover_stack`]) walks the frames top-to-bottom, invoking each
@@ -116,14 +142,12 @@ impl<'a> PContext<'a> {
     /// * [`PError::UnknownFunction`] before anything is pushed.
     pub fn call(&mut self, func_id: u64, args: &[u8]) -> Result<Option<RetBytes>, PError> {
         let f = self.registry.get(func_id)?;
-        let caller = self.stack.top_index();
-        // Clear the caller's slot so its recover dual can distinguish
-        // "this child completed" from a stale completion record.
-        self.stack.set_ret(caller, ReturnSlot::Empty)?;
-        self.stack.push(func_id, args)?;
+        // Push, clearing the caller's slot so its recover dual can
+        // distinguish "this child completed" from a stale record.
+        self.stack.push_frame(func_id, args, true)?;
         match f.call(self, args) {
             Ok(ret) => {
-                self.finish_top_frame(caller, ret)?;
+                self.finish_top_frame(ret)?;
                 Ok(ret)
             }
             Err(e) if e.is_crash() => Err(e),
@@ -136,19 +160,15 @@ impl<'a> PContext<'a> {
         }
     }
 
-    /// Persists `ret` into frame `caller`'s slot and pops the top
-    /// frame — the completion protocol shared by `call` and recovery.
-    pub(crate) fn finish_top_frame(
-        &mut self,
-        caller: usize,
-        ret: Option<RetBytes>,
-    ) -> Result<(), PError> {
+    /// Persists `ret` into the caller's slot (the frame below the top)
+    /// and pops the top frame — the completion protocol shared by
+    /// `call` and recovery.
+    fn finish_top_frame(&mut self, ret: Option<RetBytes>) -> Result<(), PError> {
         let slot = match ret {
             None => ReturnSlot::Unit,
             Some(v) => ReturnSlot::Value(v),
         };
-        self.stack.set_ret(caller, slot)?;
-        self.stack.pop()
+        self.stack.pop_frame(Some(slot))
     }
 
     /// Reads the executing function's own return slot: did the child it
@@ -204,8 +224,7 @@ pub fn recover_stack(ctx: &mut PContext<'_>) -> Result<StackRecovery, PError> {
         let f = ctx.registry.get(rec.func_id)?;
         let ret = f.recover(ctx, &rec.args)?;
         // The recover dual returned balanced; its frame is again on top.
-        let caller = ctx.stack.top_index() - 1;
-        ctx.finish_top_frame(caller, ret)?;
+        ctx.finish_top_frame(ret)?;
         stats.frames_recovered += 1;
     }
     Ok(stats)

@@ -2,41 +2,13 @@
 
 use pstack_nvram::{PMem, POffset};
 
-use crate::frame::{
-    encode_ordinary, FrameMeta, MARKER_FRAME_END, MARKER_STACK_END, ORDINARY_OVERHEAD,
-};
+use crate::frame::{encode_ordinary, FrameMeta, MARKER_STACK_END, ORDINARY_OVERHEAD};
 use crate::registry::DUMMY_FUNC_ID;
 use crate::stack::{
-    read_ret_slot, walk_contiguous, write_ret_slot, FrameRecord, PersistentStack, ReturnSlot,
-    StackKind,
+    link_after, read_ret_slot, unlink_above, walk_contiguous, write_ret_slot, FlushPolicy,
+    FrameRecord, PersistentStack, ReturnSlot, StackKind,
 };
 use crate::PError;
-
-/// Controls which of the paper's two flushing invariants (§3.4, Fig. 6)
-/// the stack honours. **Production code always uses the default** (both
-/// on); the off switches exist so tests can demonstrate that each
-/// invariant is load-bearing — disabling either one makes recovery lose
-/// or miss frames, exactly as Fig. 6 predicts (experiment E4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlushPolicy {
-    /// Invariant 1: flush the new frame **before** moving the stack end
-    /// forward. If violated, a crash can persist the marker flip but
-    /// lose the frame it points at (Fig. 6a).
-    pub flush_frame_before_advance: bool,
-    /// Invariant 2: flush every end-marker flip immediately. If
-    /// violated, a crash can lose the flip, so recovery never sees the
-    /// topmost frame (Fig. 6b).
-    pub flush_markers: bool,
-}
-
-impl Default for FlushPolicy {
-    fn default() -> Self {
-        FlushPolicy {
-            flush_frame_before_advance: true,
-            flush_markers: true,
-        }
-    }
-}
 
 /// A persistent stack in a contiguous NVRAM region of constant size.
 ///
@@ -163,8 +135,9 @@ impl PersistentStack for FixedStack {
         StackKind::Fixed
     }
 
-    fn push(&mut self, func_id: u64, args: &[u8]) -> Result<(), PError> {
-        let new_start = self.top().end();
+    fn push_frame(&mut self, func_id: u64, args: &[u8], clear_ret: bool) -> Result<(), PError> {
+        let top = *self.top();
+        let new_start = top.end();
         let buf = encode_ordinary(func_id, args, MARKER_STACK_END)?;
         let limit = self.base + self.capacity;
         if new_start.get() + buf.len() as u64 > limit.get() {
@@ -173,21 +146,7 @@ impl PersistentStack for FixedStack {
                 available: limit.get().saturating_sub(new_start.get()),
             });
         }
-        // Step 1 (Fig. 3b): write the frame after the stack-end marker.
-        // It is invisible until the marker flip, so a crash here (even
-        // one that persists the frame partially) leaves the stack
-        // logically unchanged.
-        self.pmem.write(new_start, &buf)?;
-        if self.policy.flush_frame_before_advance {
-            self.pmem.flush(new_start, buf.len())?;
-        }
-        // Step 2 (Fig. 3c): move the stack end forward — flip the old
-        // top's marker 0x1 → 0x0. One byte, one line: crash-atomic.
-        let old_marker = self.top().marker_off();
-        self.pmem.write_u8(old_marker, MARKER_FRAME_END)?;
-        if self.policy.flush_markers {
-            self.pmem.flush(old_marker, 1)?;
-        }
+        link_after(&self.pmem, &top, &buf, clear_ret, self.policy)?;
         self.frames.push(FrameMeta {
             start: new_start,
             func_id,
@@ -196,18 +155,12 @@ impl PersistentStack for FixedStack {
         Ok(())
     }
 
-    fn pop(&mut self) -> Result<(), PError> {
+    fn pop_frame(&mut self, ret: Option<ReturnSlot>) -> Result<(), PError> {
         if self.frames.len() < 2 {
             return Err(PError::StackEmpty);
         }
-        // Move the stack end backward (Fig. 4): flip the penultimate
-        // frame's marker 0x0 → 0x1. The popped frame becomes invalid
-        // data past the stack end.
         let penult = self.frames[self.frames.len() - 2];
-        self.pmem.write_u8(penult.marker_off(), MARKER_STACK_END)?;
-        if self.policy.flush_markers {
-            self.pmem.flush(penult.marker_off(), 1)?;
-        }
+        unlink_above(&self.pmem, &penult, ret, self.policy)?;
         self.frames.pop();
         Ok(())
     }
@@ -226,7 +179,7 @@ impl PersistentStack for FixedStack {
 
     fn set_ret(&mut self, index: usize, slot: ReturnSlot) -> Result<(), PError> {
         let meta = *self.meta(index)?;
-        write_ret_slot(&self.pmem, &meta, slot)
+        write_ret_slot(&self.pmem, &meta, slot, true)
     }
 
     fn ret(&self, index: usize) -> Result<ReturnSlot, PError> {
@@ -516,6 +469,41 @@ mod tests {
             matches!(result, Err(PError::CorruptStack(_))),
             "violating invariant 1 must corrupt recovery, got {result:?}"
         );
+    }
+
+    #[test]
+    fn violating_invariants_breaks_recovery_for_a_call_too() {
+        // The E4 controls again, through the persistent CALL path
+        // (`push_frame` with the caller's return-flag clear), whose
+        // clear normally rides the frame flush.
+        for (invariant, policy) in [
+            (
+                1,
+                FlushPolicy {
+                    flush_frame_before_advance: false,
+                    flush_markers: true,
+                },
+            ),
+            (
+                2,
+                FlushPolicy {
+                    flush_frame_before_advance: true,
+                    flush_markers: false,
+                },
+            ),
+        ] {
+            let (pmem, mut s) = stack(4 * 1024);
+            s.push(1, b"anchor").unwrap();
+            s.set_flush_policy(policy);
+            s.push_frame(2, &[0xCD; 200], true).unwrap();
+            pmem.crash_now(0, 0.0);
+            let pmem = pmem.reopen().unwrap();
+            match FixedStack::open(pmem, POffset::new(0), 4 * 1024) {
+                Err(PError::CorruptStack(_)) if invariant == 1 => {}
+                Ok(s2) if invariant == 2 => assert_eq!(s2.depth(), 1),
+                other => panic!("invariant {invariant}: recovery gave {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -25,7 +25,8 @@ use crate::frame::{
 };
 use crate::registry::DUMMY_FUNC_ID;
 use crate::stack::{
-    read_ret_slot, write_ret_slot, FrameRecord, PersistentStack, ReturnSlot, StackKind,
+    link_after, read_ret_slot, unlink_above, write_ret_slot, FlushPolicy, FrameRecord,
+    PersistentStack, ReturnSlot, StackKind, STACK_BLOCK_ALIGN,
 };
 use crate::PError;
 
@@ -102,7 +103,7 @@ impl ListStack {
         default_block: u64,
     ) -> Result<Self, PError> {
         let default_block = default_block.max(MIN_LIST_BLOCK);
-        let payload = heap.alloc(default_block as usize)?;
+        let payload = heap.alloc_aligned(default_block as usize, STACK_BLOCK_ALIGN)?;
         write_block_header(&pmem, payload, POffset::NULL)?;
         let dummy = encode_ordinary(DUMMY_FUNC_ID, &[], MARKER_STACK_END)?;
         pmem.write(payload + BLOCK_HDR, &dummy)?;
@@ -279,7 +280,7 @@ impl PersistentStack for ListStack {
         StackKind::List
     }
 
-    fn push(&mut self, func_id: u64, args: &[u8]) -> Result<(), PError> {
+    fn push_frame(&mut self, func_id: u64, args: &[u8], clear_ret: bool) -> Result<(), PError> {
         let need = ORDINARY_OVERHEAD + args.len() as u64;
         let (top_bidx, top_meta) = *self.top();
         debug_assert_eq!(top_bidx, self.blocks.len() - 1, "top frame in last block");
@@ -289,11 +290,13 @@ impl PersistentStack for ListStack {
         if tail.get() + need + POINTER_FRAME_LEN <= limit.get() {
             // Fits in the current block: §3.4 protocol verbatim.
             let buf = encode_ordinary(func_id, args, MARKER_STACK_END)?;
-            self.pmem.write(tail, &buf)?;
-            self.pmem.flush(tail, buf.len())?;
-            self.pmem
-                .write_u8(top_meta.marker_off(), MARKER_FRAME_END)?;
-            self.pmem.flush(top_meta.marker_off(), 1)?;
+            link_after(
+                &self.pmem,
+                &top_meta,
+                &buf,
+                clear_ret,
+                FlushPolicy::default(),
+            )?;
             self.frames.push((
                 top_bidx,
                 FrameMeta {
@@ -308,19 +311,25 @@ impl PersistentStack for ListStack {
         // Chain a new block (Appendix A.3): everything below is
         // invisible until the old top's marker flips.
         let block_len = self.default_block.max(BLOCK_HDR + need + POINTER_FRAME_LEN);
-        let new_payload = self.heap.alloc(block_len as usize)?;
+        let new_payload = self
+            .heap
+            .alloc_aligned(block_len as usize, STACK_BLOCK_ALIGN)?;
         write_block_header(&self.pmem, new_payload, self.blocks[top_bidx].payload)?;
         let frame_start = new_payload + BLOCK_HDR;
         let buf = encode_ordinary(func_id, args, MARKER_STACK_END)?;
         self.pmem.write(frame_start, &buf)?;
         self.pmem.flush(frame_start, buf.len())?;
+        // The pointer frame is what follows the old top, so it is the
+        // link whose flush the return-slot clear rides; the flip then
+        // linearizes the push.
         let ptr = encode_pointer(new_payload, MARKER_FRAME_END);
-        self.pmem.write(tail, &ptr)?;
-        self.pmem.flush(tail, ptr.len())?;
-        // Linearization: flip the old top's marker.
-        self.pmem
-            .write_u8(top_meta.marker_off(), MARKER_FRAME_END)?;
-        self.pmem.flush(top_meta.marker_off(), 1)?;
+        link_after(
+            &self.pmem,
+            &top_meta,
+            &ptr,
+            clear_ret,
+            FlushPolicy::default(),
+        )?;
 
         let new_limit = new_payload + self.heap.payload_len(new_payload)?;
         self.blocks[top_bidx].pointer_frame = Some(tail);
@@ -341,7 +350,7 @@ impl PersistentStack for ListStack {
         Ok(())
     }
 
-    fn pop(&mut self) -> Result<(), PError> {
+    fn pop_frame(&mut self, ret: Option<ReturnSlot>) -> Result<(), PError> {
         if self.frames.len() < 2 {
             return Err(PError::StackEmpty);
         }
@@ -350,8 +359,7 @@ impl PersistentStack for ListStack {
         // Flip the penultimate frame's marker: if the top frame was the
         // only one in its block, this single byte atomically invalidates
         // the pointer frame *and* the whole top block (Fig. 8).
-        self.pmem.write_u8(penult.marker_off(), MARKER_STACK_END)?;
-        self.pmem.flush(penult.marker_off(), 1)?;
+        unlink_above(&self.pmem, &penult, ret, FlushPolicy::default())?;
         self.frames.pop();
         if top_bidx != penult_bidx {
             // Crash here leaks the unreachable block; same window as
@@ -381,7 +389,7 @@ impl PersistentStack for ListStack {
 
     fn set_ret(&mut self, index: usize, slot: ReturnSlot) -> Result<(), PError> {
         let meta = *self.meta(index)?;
-        write_ret_slot(&self.pmem, &meta, slot)
+        write_ret_slot(&self.pmem, &meta, slot, true)
     }
 
     fn ret(&self, index: usize) -> Result<ReturnSlot, PError> {

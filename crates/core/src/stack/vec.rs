@@ -12,13 +12,11 @@
 use pstack_heap::PHeap;
 use pstack_nvram::{PMem, POffset};
 
-use crate::frame::{
-    encode_ordinary, FrameMeta, MARKER_FRAME_END, MARKER_STACK_END, ORDINARY_OVERHEAD,
-};
+use crate::frame::{encode_ordinary, FrameMeta, MARKER_STACK_END, ORDINARY_OVERHEAD};
 use crate::registry::DUMMY_FUNC_ID;
 use crate::stack::{
-    read_ret_slot, walk_contiguous, write_ret_slot, FrameRecord, PersistentStack, ReturnSlot,
-    StackKind,
+    link_after, read_ret_slot, unlink_above, walk_contiguous, write_ret_slot, FlushPolicy,
+    FrameRecord, PersistentStack, ReturnSlot, StackKind, STACK_BLOCK_ALIGN,
 };
 use crate::PError;
 
@@ -86,7 +84,7 @@ impl VecStack {
             )));
         }
         let capacity = initial_capacity.max(MIN_VEC_CAPACITY);
-        let block = heap.alloc(capacity as usize)?;
+        let block = heap.alloc_aligned(capacity as usize, STACK_BLOCK_ALIGN)?;
         let dummy = encode_ordinary(DUMMY_FUNC_ID, &[], MARKER_STACK_END)?;
         pmem.write(block, &dummy)?;
         pmem.flush(block, dummy.len())?;
@@ -184,7 +182,9 @@ impl VecStack {
     fn relocate(&mut self, new_capacity: u64) -> Result<(), PError> {
         let used = self.used_bytes();
         debug_assert!(new_capacity >= used);
-        let new_block = self.heap.alloc(new_capacity as usize)?;
+        let new_block = self
+            .heap
+            .alloc_aligned(new_capacity as usize, STACK_BLOCK_ALIGN)?;
         let data = self.pmem.read_vec(self.block, used as usize)?;
         self.pmem.write(new_block, &data)?;
         self.pmem.flush(new_block, used as usize)?;
@@ -211,35 +211,30 @@ impl PersistentStack for VecStack {
         StackKind::Vec
     }
 
-    fn push(&mut self, func_id: u64, args: &[u8]) -> Result<(), PError> {
+    fn push_frame(&mut self, func_id: u64, args: &[u8], clear_ret: bool) -> Result<(), PError> {
         let need = ORDINARY_OVERHEAD + args.len() as u64;
         let used = self.used_bytes();
         if used + need > self.capacity {
             let new_cap = (self.capacity * 2).max(used + need).max(MIN_VEC_CAPACITY);
             self.relocate(new_cap)?;
         }
-        let new_start = self.top().end();
+        let top = *self.top();
         let buf = encode_ordinary(func_id, args, MARKER_STACK_END)?;
-        self.pmem.write(new_start, &buf)?;
-        self.pmem.flush(new_start, buf.len())?;
-        let old_marker = self.top().marker_off();
-        self.pmem.write_u8(old_marker, MARKER_FRAME_END)?;
-        self.pmem.flush(old_marker, 1)?;
+        link_after(&self.pmem, &top, &buf, clear_ret, FlushPolicy::default())?;
         self.frames.push(FrameMeta {
-            start: new_start,
+            start: top.end(),
             func_id,
             args_len: args.len() as u32,
         });
         Ok(())
     }
 
-    fn pop(&mut self) -> Result<(), PError> {
+    fn pop_frame(&mut self, ret: Option<ReturnSlot>) -> Result<(), PError> {
         if self.frames.len() < 2 {
             return Err(PError::StackEmpty);
         }
         let penult = self.frames[self.frames.len() - 2];
-        self.pmem.write_u8(penult.marker_off(), MARKER_STACK_END)?;
-        self.pmem.flush(penult.marker_off(), 1)?;
+        unlink_above(&self.pmem, &penult, ret, FlushPolicy::default())?;
         self.frames.pop();
         if self.shrink {
             let used = self.used_bytes();
@@ -264,7 +259,7 @@ impl PersistentStack for VecStack {
 
     fn set_ret(&mut self, index: usize, slot: ReturnSlot) -> Result<(), PError> {
         let meta = *self.meta(index)?;
-        write_ret_slot(&self.pmem, &meta, slot)
+        write_ret_slot(&self.pmem, &meta, slot, true)
     }
 
     fn ret(&self, index: usize) -> Result<ReturnSlot, PError> {

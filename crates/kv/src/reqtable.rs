@@ -20,8 +20,10 @@
 //!   returns [`ReqSubmit::Full`] — the admission-control signal — when
 //!   no slot is recyclable.
 //! * [`KvRequestTable::mark_done`] / [`KvRequestTable::mark_done_batch`]
-//!   persist the answer payload strictly before the one-byte done flag,
-//!   exactly like the static table: a crash in between leaves the slot
+//!   make the answer payload durable no later than the one-byte done
+//!   flag: both live in the slot's one cache line, written payload
+//!   first, so one flush persists them together (the static table uses
+//!   two ordered persists). A crash before that flush leaves the slot
 //!   pending and recovery recomputes the answer through the store's
 //!   evidence-scanning duals.
 //! * [`KvRequestTable::ack`] records that the client received the
@@ -546,21 +548,25 @@ impl KvRequestTable {
     /// flag, so a crash in between leaves the request pending and
     /// recovery recomputes the answer through the evidence scan.
     ///
+    /// Both sit in the slot's one cache line, written payload first,
+    /// so a single flush orders them: a buffered region keeps or loses
+    /// the whole line, and an eager one persists each write in program
+    /// order.
+    ///
     /// # Errors
     ///
     /// Out-of-range slot or NVRAM errors.
     pub fn mark_done(&self, slot: u32, executor: u32, result: KvTaskResult) -> Result<(), PError> {
-        let e = self.write_answer(slot, executor, result)?;
-        self.pmem.flush(e, SLOT_STRIDE as usize)?;
-        self.pmem.write_u8(e + F_DONE, ST_DONE)?;
-        self.pmem.flush(e + F_DONE, 1)?;
-        Ok(())
+        self.mark_done_batch(&[(slot, executor, result)])
     }
 
-    /// Persists a whole batch of answers with two coalesced persists
-    /// (all payloads, then all done flags) — the answer half of a
-    /// group-commit window, with [`KvRequestTable::mark_done`]'s
-    /// per-slot ordering invariant preserved.
+    /// Persists a whole batch of answers with **one** coalesced persist
+    /// — the answer half of a group-commit window, with
+    /// [`KvRequestTable::mark_done`]'s per-slot ordering invariant
+    /// preserved: each slot's payload and done flag share its line, and
+    /// the flush persists whole lines, so a crash mid-flush leaves every
+    /// slot either answered or pending, never flagged over a torn
+    /// payload.
     ///
     /// # Errors
     ///
@@ -573,15 +579,11 @@ impl KvRequestTable {
         let mut hi = lo;
         for &(slot, executor, result) in entries {
             let e = self.write_answer(slot, executor, result)?;
+            self.pmem.write_u8(e + F_DONE, ST_DONE)?;
             lo = lo.min(e.get());
             hi = hi.max(e.get());
         }
         let span = (hi - lo + SLOT_STRIDE) as usize;
-        self.pmem.flush(POffset::new(lo), span)?;
-        for &(slot, ..) in entries {
-            self.pmem
-                .write_u8(Self::slot_off(self.base, slot) + F_DONE, ST_DONE)?;
-        }
         self.pmem.flush(POffset::new(lo), span)?;
         Ok(())
     }
@@ -887,7 +889,10 @@ mod tests {
         let before = pmem.stats().snapshot();
         table.mark_done_batch(&entries).unwrap();
         let delta = pmem.stats().snapshot() - before;
-        assert_eq!(delta.persists, 2, "one payload persist + one flag persist");
+        assert_eq!(
+            delta.persists, 1,
+            "payloads and done flags share one persist"
+        );
         for (slot, _, expect) in entries {
             assert_eq!(table.result(slot).unwrap().unwrap().result, expect);
         }

@@ -59,17 +59,24 @@ impl FailPlan {
 pub(crate) struct FailState {
     plan: Option<FailPlan>,
     /// Total persistence events observed since the region was opened.
+    /// Frozen once the region crashes.
     pub(crate) events: u64,
+    frozen: bool,
 }
 
 impl FailState {
     /// Registers one persistence event. Returns the plan if it just fired.
+    /// Once the plan has fired the counter stays frozen at the crash
+    /// event: nothing after a power cut is a persistence event.
     pub(crate) fn on_event(&mut self) -> Option<FailPlan> {
+        if self.frozen {
+            return None;
+        }
         self.events += 1;
         if let Some(plan) = self.plan.as_mut() {
             if plan.countdown == 0 {
                 let fired = *plan;
-                self.plan = None;
+                self.freeze();
                 return Some(fired);
             }
             plan.countdown -= 1;
@@ -83,6 +90,12 @@ impl FailState {
 
     pub(crate) fn disarm(&mut self) {
         self.plan = None;
+    }
+
+    /// Disarms and stops counting: the region crashed.
+    pub(crate) fn freeze(&mut self) {
+        self.plan = None;
+        self.frozen = true;
     }
 
     pub(crate) fn armed(&self) -> bool {
@@ -102,7 +115,7 @@ mod tests {
         assert!(st.on_event().is_none());
         assert!(st.on_event().is_some());
         assert!(st.on_event().is_none());
-        assert_eq!(st.events, 4);
+        assert_eq!(st.events, 3, "the counter freezes at the crash event");
     }
 
     #[test]

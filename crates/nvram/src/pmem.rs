@@ -583,12 +583,33 @@ impl PMem {
         self.inner.state.lock().fail.armed()
     }
 
+    /// Unlocked fast path: fails an access up front on a region that is
+    /// already known dead. Not a guarantee — a crash can land between
+    /// this check and the lock — which is what
+    /// [`PMem::with_live_state`] is for.
     fn check_alive(&self) -> Result<(), MemError> {
         if self.is_crashed() {
             Err(MemError::Crashed)
         } else {
             Ok(())
         }
+    }
+
+    /// The one choke point every access to the region state passes:
+    /// runs `f` under the region lock, after re-checking that the region
+    /// has not crashed. [`PMem::crash_now`] and fail-point crashes set
+    /// the crashed flag with this lock held, so an operation that passed
+    /// [`PMem::check_alive`] just before the power cut cannot apply a
+    /// store, persist a line or count an event after it. (Awaiting a
+    /// ticket that already completed reads no state that could change
+    /// and stays `Ok` after a crash.)
+    fn with_live_state<R>(
+        &self,
+        f: impl FnOnce(&mut State) -> Result<R, MemError>,
+    ) -> Result<R, MemError> {
+        let mut st = self.inner.state.lock();
+        self.check_alive()?;
+        f(&mut st)
     }
 
     fn check_bounds(&self, off: POffset, len: usize) -> Result<(), MemError> {
@@ -630,13 +651,14 @@ impl PMem {
     pub fn read(&self, off: POffset, buf: &mut [u8]) -> Result<(), MemError> {
         self.check_alive()?;
         self.check_bounds(off, buf.len())?;
-        let st = self.inner.state.lock();
-        self.compose_read(&st, off.as_usize(), buf);
-        MemStats::bump(&self.inner.stats.reads);
-        if let Some(psan) = &self.inner.psan {
-            psan.note_read(off.get(), buf.len(), st.fail.events);
-        }
-        Ok(())
+        self.with_live_state(|st| {
+            self.compose_read(st, off.as_usize(), buf);
+            MemStats::bump(&self.inner.stats.reads);
+            if let Some(psan) = &self.inner.psan {
+                psan.note_read(off.get(), buf.len(), st.fail.events);
+            }
+            Ok(())
+        })
     }
 
     fn compose_read(&self, st: &State, start: usize, buf: &mut [u8]) {
@@ -672,30 +694,39 @@ impl PMem {
     pub fn write(&self, off: POffset, data: &[u8]) -> Result<(), MemError> {
         self.check_alive()?;
         self.check_bounds(off, data.len())?;
-        let mut round_trip = None;
-        {
-            let mut st = self.inner.state.lock();
-            self.on_event(&mut st)?;
-            self.write_locked(&mut st, off.as_usize(), data);
+        let round_trip = self.with_live_state(|st| {
+            self.on_event(st)?;
+            self.write_locked(st, off.as_usize(), data);
             MemStats::bump(&self.inner.stats.writes);
             MemStats::add(&self.inner.stats.bytes_written, data.len() as u64);
             if let Some(psan) = &self.inner.psan {
                 psan.note_write(off.get(), data.len(), st.fail.events);
             }
-            if self.inner.eager_flush {
-                let probe = pstack_telemetry::persist_probe();
-                // Eager regions never hold staged flights (nothing stays
-                // dirty), so the covering serial is always `None`.
-                let (persisted, _) =
-                    self.persist_range_locked(&mut st, off.as_usize(), data.len())?;
-                round_trip = Some((probe, persisted));
-            }
-        }
+            self.eager_persist_locked(st, off.as_usize(), data.len())
+        })?;
         if let Some((probe, persisted)) = round_trip {
             self.settle_round_trip(probe, persisted);
         }
         self.maybe_jitter();
         Ok(())
+    }
+
+    /// On an eager region, persists the lines a store just dirtied and
+    /// returns the round-trip to settle once the lock is released;
+    /// `None` on a buffered region. Eager regions never hold staged
+    /// flights (nothing stays dirty), so there is no covering serial.
+    fn eager_persist_locked(
+        &self,
+        st: &mut State,
+        start: usize,
+        len: usize,
+    ) -> Result<Option<(pstack_telemetry::PersistProbe, u64)>, MemError> {
+        if !self.inner.eager_flush {
+            return Ok(None);
+        }
+        let probe = pstack_telemetry::persist_probe();
+        let (persisted, _) = self.persist_range_locked(st, start, len)?;
+        Ok(Some((probe, persisted)))
     }
 
     /// With jitter configured, occasionally parks the calling thread
@@ -759,11 +790,10 @@ impl PMem {
         // Telemetry round-trip timer: a no-op unless recording (and
         // compiled away entirely without the `telemetry` feature).
         let probe = pstack_telemetry::persist_probe();
-        let (persisted, covering) = {
-            let mut st = self.inner.state.lock();
+        let (persisted, covering) = self.with_live_state(|st| {
             MemStats::bump(&self.inner.stats.flush_calls);
-            self.persist_range_locked(&mut st, off.as_usize(), len)?
-        };
+            self.persist_range_locked(st, off.as_usize(), len)
+        })?;
         self.settle_round_trip(probe, persisted);
         if let Some(serial) = covering {
             // Lines elided because an in-flight async flush already
@@ -914,7 +944,17 @@ impl PMem {
         self.check_bounds(off, len)?;
         let _issue = pstack_telemetry::span("flush.issue");
         let region = Arc::as_ptr(&self.inner) as usize;
-        let mut st = self.inner.state.lock();
+        self.with_live_state(|st| self.issue_flight_locked(st, region, off, len))
+    }
+
+    /// The locked body of [`PMem::flush_async`].
+    fn issue_flight_locked(
+        &self,
+        st: &mut State,
+        region: usize,
+        off: POffset,
+        len: usize,
+    ) -> Result<FlushTicket, MemError> {
         MemStats::bump(&self.inner.stats.flush_calls);
         if len == 0 {
             let serial = st.flights.completed;
@@ -928,7 +968,7 @@ impl PMem {
         let mut covering: Option<u64> = None;
         for li in first..=last {
             if !self.inner.eager_flush {
-                self.on_event(&mut st)?;
+                self.on_event(st)?;
             }
             if let Some(&s) = st.flights.staged.get(&li) {
                 MemStats::bump(&self.inner.stats.elided_lines);
@@ -999,12 +1039,11 @@ impl PMem {
     fn await_serial(&self, serial: u64) -> Result<(), MemError> {
         let deadline = {
             let st = self.inner.state.lock();
+            // A completed ticket stays `Ok`, even after a crash.
             if st.flights.completed >= serial {
                 return Ok(());
             }
-            if self.is_crashed() {
-                return Err(MemError::Crashed);
-            }
+            self.check_alive()?;
             st.flights
                 .queue
                 .iter()
@@ -1025,18 +1064,14 @@ impl PMem {
                 );
             }
         }
-        let persisted = {
-            let mut st = self.inner.state.lock();
-            if self.is_crashed() {
-                return Err(MemError::Crashed);
-            }
+        let persisted = self.with_live_state(|st| {
             let mut persisted = 0u64;
             while st.flights.queue.front().is_some_and(|f| f.serial <= serial) {
                 let flight = st.flights.queue.pop_front().expect("checked front");
-                persisted += self.apply_flight(&mut st, flight)?;
+                persisted += self.apply_flight(st, flight)?;
             }
-            persisted
-        };
+            Ok(persisted)
+        })?;
         probe.record(
             self.inner.tlabel.load(Ordering::Relaxed),
             persisted as usize,
@@ -1149,30 +1184,31 @@ impl PMem {
         );
         self.check_alive()?;
         self.check_bounds(off, expected.len())?;
-        let mut st = self.inner.state.lock();
-        self.on_event(&mut st)?;
-        MemStats::bump(&self.inner.stats.cas_ops);
-        let mut current = vec![0u8; expected.len()];
-        self.compose_read(&st, off.as_usize(), &mut current);
-        if current != expected {
+        let swapped = self.with_live_state(|st| {
+            self.on_event(st)?;
+            MemStats::bump(&self.inner.stats.cas_ops);
+            let mut current = vec![0u8; expected.len()];
+            self.compose_read(st, off.as_usize(), &mut current);
+            if current != expected {
+                return Ok(None);
+            }
+            self.write_locked(st, off.as_usize(), new);
+            MemStats::bump(&self.inner.stats.writes);
+            MemStats::add(&self.inner.stats.bytes_written, new.len() as u64);
+            if let Some(psan) = &self.inner.psan {
+                psan.note_write(off.get(), new.len(), st.fail.events);
+                // A successful CAS in a registered publish range makes its
+                // new value reachable: early-publish check on the target.
+                psan.note_cas_publish(off.get(), new, st.fail.events);
+            }
+            self.eager_persist_locked(st, off.as_usize(), new.len())
+                .map(Some)
+        })?;
+        let Some(round_trip) = swapped else {
             return Ok(false);
-        }
-        self.write_locked(&mut st, off.as_usize(), new);
-        MemStats::bump(&self.inner.stats.writes);
-        MemStats::add(&self.inner.stats.bytes_written, new.len() as u64);
-        if let Some(psan) = &self.inner.psan {
-            psan.note_write(off.get(), new.len(), st.fail.events);
-            // A successful CAS in a registered publish range makes its
-            // new value reachable: early-publish check on the target.
-            psan.note_cas_publish(off.get(), new, st.fail.events);
-        }
-        if self.inner.eager_flush {
-            let probe = pstack_telemetry::persist_probe();
-            let (persisted, _) = self.persist_range_locked(&mut st, off.as_usize(), new.len())?;
-            drop(st);
+        };
+        if let Some((probe, persisted)) = round_trip {
             self.settle_round_trip(probe, persisted);
-        } else {
-            drop(st);
         }
         self.maybe_jitter();
         Ok(true)
@@ -1213,11 +1249,12 @@ impl PMem {
     ///
     /// Calling this on an already-crashed region is a no-op.
     pub fn crash_now(&self, seed: u64, survival_prob: f64) {
-        if self.is_crashed() {
-            return;
-        }
-        let mut st = self.inner.state.lock();
-        self.crash_locked(&mut st, seed, survival_prob);
+        // Decided under the lock: of two racing power cuts exactly one
+        // takes the survivor lottery.
+        let _ = self.with_live_state(|st| {
+            self.crash_locked(st, seed, survival_prob);
+            Ok(())
+        });
     }
 
     fn crash_locked(&self, st: &mut State, seed: u64, survival_prob: f64) {
@@ -1230,7 +1267,7 @@ impl PMem {
             Ordering::SeqCst,
             Ordering::SeqCst,
         );
-        st.fail.disarm();
+        st.fail.freeze();
         MemStats::bump(&self.inner.stats.crashes);
         let line = self.inner.line_size;
         let mut lines: Vec<usize> = st.dirty.keys().copied().collect();
@@ -2134,6 +2171,16 @@ mod tests {
         // The flight never completed: only the completed-ticket prefix
         // (here: nothing) is durable.
         assert_eq!(p.read_u64(POffset::new(8)).unwrap(), 0);
+    }
+
+    #[test]
+    fn completed_ticket_awaits_ok_after_crash() {
+        let p = small();
+        p.write_u64(POffset::new(8), 77).unwrap();
+        let t = p.flush_async(POffset::new(8), 8).unwrap();
+        p.await_ticket(&t).unwrap();
+        p.crash_now(0, 0.0);
+        p.await_ticket(&t).unwrap();
     }
 
     #[test]

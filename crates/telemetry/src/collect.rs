@@ -2,7 +2,7 @@
 //! histograms, persist-economy counters, and crash→recovery timelines.
 
 use crate::hist::LatencyHistogram;
-use crate::ring::{Event, EventKind};
+use crate::ring::{Event, EventKind, NO_OPEN};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -18,6 +18,61 @@ pub struct ThreadTrace {
     pub events: Vec<Event>,
     /// Events lost to wraparound or torn reads in the window.
     pub dropped: u64,
+    /// The ring was held by a running thread other than the collecting
+    /// one when the window closed, so spans and phases it entered in
+    /// the window may still be open. On any other ring an enter without
+    /// its exit is an error.
+    pub live: bool,
+}
+
+/// Replays one ring's enter/exit events of one kind (spans or phases)
+/// against the depth each event carries.
+#[derive(Default)]
+struct NestingCheck {
+    /// Labels entered inside the window and not yet closed.
+    open: Vec<u32>,
+    /// How many were opened before the window and are still open;
+    /// learned from the first depth seen.
+    before: Option<u32>,
+}
+
+impl NestingCheck {
+    fn enter(&mut self, label: u32, depth: u32) -> Result<(), String> {
+        let before = *self.before.get_or_insert(depth);
+        let expected = before + self.open.len() as u32;
+        self.open.push(label);
+        if depth == expected {
+            Ok(())
+        } else {
+            Err(format!("at depth {depth}, expected {expected}"))
+        }
+    }
+
+    fn exit(&mut self, label: u32, depth: u32) -> Result<(), String> {
+        const MISMATCH: &str = "does not match the innermost one open";
+        if depth == NO_OPEN {
+            return Err("closes nothing: none was open on its thread".into());
+        }
+        match self.open.pop() {
+            // Entered before the window: its depth must be the next one
+            // down from what is still open from before the window.
+            None => match self.before {
+                Some(before) if depth + 1 != before => Err(MISMATCH.into()),
+                _ => {
+                    self.before = Some(depth);
+                    Ok(())
+                }
+            },
+            Some(top) => {
+                let expected = self.before.unwrap_or(0) + self.open.len() as u32;
+                if top == label && depth == expected {
+                    Ok(())
+                } else {
+                    Err(MISMATCH.into())
+                }
+            }
+        }
+    }
 }
 
 /// Everything a [`crate::TraceSession`] recorded.
@@ -148,8 +203,8 @@ impl TraceSnapshot {
             let mut stack: Vec<(u32, u64)> = Vec::new();
             for e in &t.events {
                 match e.kind {
-                    EventKind::SpanEnter { label } => stack.push((label, e.ts)),
-                    EventKind::SpanExit { label } => {
+                    EventKind::SpanEnter { label, .. } => stack.push((label, e.ts)),
+                    EventKind::SpanExit { label, .. } => {
                         if let Some(top) = stack.iter().rposition(|&(l, _)| l == label) {
                             let (_, enter) = stack[top];
                             stack.truncate(top);
@@ -270,11 +325,11 @@ impl TraceSnapshot {
                     };
                     last.at_events = events;
                 }
-                EventKind::PhaseEnter { label } => {
+                EventKind::PhaseEnter { label, .. } => {
                     recovering = true;
                     open_phases.insert((ring, label), ts);
                 }
-                EventKind::PhaseExit { label } => {
+                EventKind::PhaseExit { label, .. } => {
                     recovering = true;
                     if let (Some(start), Some(map)) =
                         (open_phases.remove(&(ring, label)), agg.last_mut())
@@ -307,13 +362,18 @@ impl TraceSnapshot {
     /// monotone, span and phase enter/exit must balance with proper
     /// nesting, and every label id must resolve. Returns the list of
     /// violations (empty ⇒ valid).
+    ///
+    /// A window may start inside spans and end inside them. An exit
+    /// with no enter in the window passes only if its depth shows it
+    /// closes a span entered before the window; an enter with no exit
+    /// passes only on a [`ThreadTrace::live`] ring.
     pub fn validate(&self) -> Result<(), Vec<String>> {
         let mut errs = Vec::new();
         for t in &self.threads {
             let mut last_ts = 0u64;
             let mut last_pos: Option<u64> = None;
-            let mut spans: Vec<u32> = Vec::new();
-            let mut phases: Vec<u32> = Vec::new();
+            let mut spans = NestingCheck::default();
+            let mut phases = NestingCheck::default();
             for e in &t.events {
                 if e.ts < last_ts {
                     errs.push(format!(
@@ -332,10 +392,10 @@ impl TraceSnapshot {
                 }
                 last_pos = Some(e.pos);
                 let referenced = match e.kind {
-                    EventKind::SpanEnter { label }
-                    | EventKind::SpanExit { label }
-                    | EventKind::PhaseEnter { label }
-                    | EventKind::PhaseExit { label } => Some(label),
+                    EventKind::SpanEnter { label, .. }
+                    | EventKind::SpanExit { label, .. }
+                    | EventKind::PhaseEnter { label, .. }
+                    | EventKind::PhaseExit { label, .. } => Some(label),
                     EventKind::Persist { region, .. }
                     | EventKind::Fence { region }
                     | EventKind::FlushEpoch { region, .. }
@@ -347,39 +407,40 @@ impl TraceSnapshot {
                         errs.push(format!("ring {}: unknown label id {id}", t.ring));
                     }
                 }
-                match e.kind {
-                    EventKind::SpanEnter { label } => spans.push(label),
-                    EventKind::SpanExit { label } if spans.pop() != Some(label) => {
-                        errs.push(format!(
-                            "ring {}: span exit '{}' does not match innermost open span",
-                            t.ring,
-                            self.label(label)
-                        ));
-                    }
-                    EventKind::PhaseEnter { label } => phases.push(label),
-                    EventKind::PhaseExit { label } if phases.pop() != Some(label) => {
-                        errs.push(format!(
-                            "ring {}: phase exit '{}' does not match innermost open phase",
-                            t.ring,
-                            self.label(label)
-                        ));
-                    }
-                    _ => {}
+                let step = match e.kind {
+                    EventKind::SpanEnter { label, depth } => spans
+                        .enter(label, depth)
+                        .map_err(|why| ("span enter", label, why)),
+                    EventKind::SpanExit { label, depth } => spans
+                        .exit(label, depth)
+                        .map_err(|why| ("span exit", label, why)),
+                    EventKind::PhaseEnter { label, depth } => phases
+                        .enter(label, depth)
+                        .map_err(|why| ("phase enter", label, why)),
+                    EventKind::PhaseExit { label, depth } => phases
+                        .exit(label, depth)
+                        .map_err(|why| ("phase exit", label, why)),
+                    _ => Ok(()),
+                };
+                if let Err((what, label, why)) = step {
+                    errs.push(format!(
+                        "ring {}: {what} '{}' at pos {} {why}",
+                        t.ring,
+                        self.label(label),
+                        e.pos
+                    ));
                 }
             }
-            for label in spans {
-                errs.push(format!(
-                    "ring {}: span '{}' never closed",
-                    t.ring,
-                    self.label(label)
-                ));
-            }
-            for label in phases {
-                errs.push(format!(
-                    "ring {}: phase '{}' never closed",
-                    t.ring,
-                    self.label(label)
-                ));
+            if !t.live {
+                for (nest, check) in [("span", &spans), ("phase", &phases)] {
+                    for &label in &check.open {
+                        errs.push(format!(
+                            "ring {}: {nest} '{}' never closed",
+                            t.ring,
+                            self.label(label)
+                        ));
+                    }
+                }
             }
         }
         if errs.is_empty() {
@@ -535,6 +596,7 @@ mod tests {
                 ring: 0,
                 events,
                 dropped: 0,
+                live: false,
             }],
         }
     }
@@ -542,7 +604,7 @@ mod tests {
     #[test]
     fn spans_feed_histograms_and_persists_attribute() {
         let snap = snapshot(vec![
-            ev(0, 10, EventKind::SpanEnter { label: 1 }),
+            ev(0, 10, EventKind::SpanEnter { label: 1, depth: 0 }),
             ev(
                 1,
                 20,
@@ -561,7 +623,7 @@ mod tests {
                     dur_ns: 1,
                 },
             ),
-            ev(3, 1010, EventKind::SpanExit { label: 1 }),
+            ev(3, 1010, EventKind::SpanExit { label: 1, depth: 0 }),
         ]);
         assert!(snap.validate().is_ok());
         let sum = snap.summary();
@@ -588,14 +650,15 @@ mod tests {
             threads: vec![ThreadTrace {
                 ring: 0,
                 events: vec![
-                    ev(0, 10, EventKind::SpanEnter { label: 1 }),
-                    ev(1, 20, EventKind::SpanExit { label: 1 }),
-                    ev(2, 30, EventKind::SpanEnter { label: 2 }),
-                    ev(3, 40, EventKind::SpanExit { label: 2 }),
-                    ev(4, 50, EventKind::SpanEnter { label: 3 }),
-                    ev(5, 60, EventKind::SpanExit { label: 3 }),
+                    ev(0, 10, EventKind::SpanEnter { label: 1, depth: 0 }),
+                    ev(1, 20, EventKind::SpanExit { label: 1, depth: 0 }),
+                    ev(2, 30, EventKind::SpanEnter { label: 2, depth: 0 }),
+                    ev(3, 40, EventKind::SpanExit { label: 2, depth: 0 }),
+                    ev(4, 50, EventKind::SpanEnter { label: 3, depth: 0 }),
+                    ev(5, 60, EventKind::SpanExit { label: 3, depth: 0 }),
                 ],
                 dropped: 0,
+                live: false,
             }],
         };
         let sum = snap.summary();
@@ -635,8 +698,8 @@ mod tests {
                     events: 7,
                 },
             ),
-            ev(3, 110, EventKind::PhaseEnter { label: 3 }),
-            ev(4, 150, EventKind::PhaseExit { label: 3 }),
+            ev(3, 110, EventKind::PhaseEnter { label: 3, depth: 0 }),
+            ev(4, 150, EventKind::PhaseExit { label: 3, depth: 0 }),
             // Crash during/after recovery opens a new incident.
             ev(
                 5,
@@ -660,11 +723,70 @@ mod tests {
         assert_eq!(sum.distinct_recovery_phases(), 1);
     }
 
+    fn span_enter(pos: u64, label: u32, depth: u32) -> Event {
+        ev(pos, pos, EventKind::SpanEnter { label, depth })
+    }
+
+    fn span_exit(pos: u64, label: u32, depth: u32) -> Event {
+        ev(pos, pos, EventKind::SpanExit { label, depth })
+    }
+
+    #[test]
+    fn window_may_start_inside_spans_opened_before_it() {
+        // Two spans were open when the window started; one more opens
+        // and closes inside it, then both outer ones close.
+        let snap = snapshot(vec![
+            span_enter(0, 1, 2),
+            span_exit(1, 1, 2),
+            span_exit(2, 3, 1),
+            span_exit(3, 1, 0),
+        ]);
+        assert_eq!(snap.validate(), Ok(()));
+    }
+
+    #[test]
+    fn exit_without_any_enter_is_flagged() {
+        // Depth says nothing was open on the thread.
+        let snap = snapshot(vec![span_exit(0, 1, NO_OPEN)]);
+        let errs = snap.validate().unwrap_err();
+        assert!(errs[0].contains("closes nothing"), "{errs:?}");
+        // An extra exit after every pre-window span already closed.
+        let snap = snapshot(vec![span_exit(0, 1, 0), span_exit(1, 1, 0)]);
+        let errs = snap.validate().unwrap_err();
+        assert!(errs[0].contains("does not match"), "{errs:?}");
+    }
+
+    #[test]
+    fn skipped_depth_means_lost_events() {
+        let snap = snapshot(vec![span_enter(0, 1, 0), span_enter(1, 3, 2)]);
+        let errs = snap.validate().unwrap_err();
+        assert!(errs.iter().any(|e| e.contains("expected 1")), "{errs:?}");
+    }
+
+    #[test]
+    fn open_span_at_window_end_passes_only_on_a_live_ring() {
+        let mut snap = snapshot(vec![span_enter(0, 1, 0)]);
+        let errs = snap.validate().unwrap_err();
+        assert!(errs[0].contains("never closed"), "{errs:?}");
+        snap.threads[0].live = true;
+        assert_eq!(snap.validate(), Ok(()));
+        // A live ring still gets its mismatched exits reported.
+        snap.threads[0].events.push(span_exit(1, 3, 0));
+        assert!(snap.validate().is_err());
+    }
+
     #[test]
     fn validate_flags_imbalance_and_regression() {
         let snap = snapshot(vec![
-            ev(0, 10, EventKind::SpanEnter { label: 1 }),
-            ev(1, 5, EventKind::SpanExit { label: 99 }),
+            ev(0, 10, EventKind::SpanEnter { label: 1, depth: 0 }),
+            ev(
+                1,
+                5,
+                EventKind::SpanExit {
+                    label: 99,
+                    depth: 0,
+                },
+            ),
         ]);
         let errs = snap.validate().unwrap_err();
         assert!(errs.iter().any(|e| e.contains("timestamp regressed")));

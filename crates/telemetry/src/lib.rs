@@ -34,7 +34,7 @@ pub use collect::{
     TraceSnapshot,
 };
 pub use hist::LatencyHistogram;
-pub use ring::{Event, EventKind, Ring, RingRead};
+pub use ring::{Event, EventKind, Ring, RingRead, NO_OPEN};
 pub use trace::summary_json;
 
 use std::cell::RefCell;
@@ -159,6 +159,32 @@ fn ring_capacity() -> usize {
 struct ThreadRing {
     idx: usize,
     ring: Arc<Ring>,
+    /// Spans and phases this thread has open: the `depth` stamped on
+    /// its enter/exit events, which lets a collector tell an exit of a
+    /// span opened before its window from an exit with no enter.
+    open: Nesting,
+}
+
+#[derive(Default)]
+struct Nesting {
+    spans: u32,
+    phases: u32,
+}
+
+impl Nesting {
+    fn count(&mut self, nest: Nest) -> &mut u32 {
+        match nest {
+            Nest::Span => &mut self.spans,
+            Nest::Phase => &mut self.phases,
+        }
+    }
+}
+
+/// Which nesting an enter/exit event belongs to.
+#[derive(Clone, Copy)]
+enum Nest {
+    Span,
+    Phase,
 }
 
 impl Drop for ThreadRing {
@@ -175,7 +201,7 @@ thread_local! {
 
 /// Runs `f` with this thread's ring, acquiring one on first use.
 /// Silently skips during thread teardown (TLS already destroyed).
-fn with_ring(f: impl FnOnce(&Ring)) {
+fn with_ring(f: impl FnOnce(&mut ThreadRing)) {
     let _ = CURRENT.try_with(|cur| {
         let mut cur = cur.borrow_mut();
         if cur.is_none() {
@@ -185,14 +211,52 @@ fn with_ring(f: impl FnOnce(&Ring)) {
                 reg.rings.len() - 1
             });
             let ring = reg.rings[idx].clone();
-            *cur = Some(ThreadRing { idx, ring });
+            *cur = Some(ThreadRing {
+                idx,
+                ring,
+                open: Nesting::default(),
+            });
         }
-        f(&cur.as_ref().unwrap().ring);
+        f(cur.as_mut().unwrap());
     });
 }
 
 fn push_event(kind: EventKind) {
-    with_ring(|ring| ring.push(now_ns(), kind));
+    with_ring(|cur| cur.ring.push(now_ns(), kind));
+}
+
+fn push_enter(nest: Nest, label: u32) {
+    with_ring(|cur| {
+        let open = cur.open.count(nest);
+        let depth = *open;
+        *open += 1;
+        let kind = match nest {
+            Nest::Span => EventKind::SpanEnter { label, depth },
+            Nest::Phase => EventKind::PhaseEnter { label, depth },
+        };
+        cur.ring.push(now_ns(), kind);
+    });
+}
+
+fn push_exit(nest: Nest, label: u32) {
+    with_ring(|cur| {
+        let open = cur.open.count(nest);
+        let depth = open.checked_sub(1).unwrap_or(ring::NO_OPEN);
+        *open = open.saturating_sub(1);
+        let kind = match nest {
+            Nest::Span => EventKind::SpanExit { label, depth },
+            Nest::Phase => EventKind::PhaseExit { label, depth },
+        };
+        cur.ring.push(now_ns(), kind);
+    });
+}
+
+/// This thread's registry slot, if it holds one.
+fn own_ring() -> Option<usize> {
+    CURRENT
+        .try_with(|cur| cur.borrow().as_ref().map(|t| t.idx))
+        .ok()
+        .flatten()
 }
 
 // ---------------------------------------------------------------------------
@@ -205,20 +269,19 @@ pub fn span_enter(label: &'static str) -> bool {
     if !enabled() {
         return false;
     }
-    let id = intern_static(label);
-    push_event(EventKind::SpanEnter { label: id });
+    push_enter(Nest::Span, intern_static(label));
     true
 }
 
 /// Records the matching span-exit. Call only when [`span_enter`]
-/// returned true, so toggling mid-span cannot unbalance a trace.
+/// returned true. The exit is recorded even if recording stopped in
+/// between, so every recorded enter has its exit and the thread's
+/// nesting depth stays exact.
 #[inline]
 pub fn span_exit(label: &'static str) {
-    if !enabled() {
-        return;
+    if compiled() {
+        push_exit(Nest::Span, intern_static(label));
     }
-    let id = intern_static(label);
-    push_event(EventKind::SpanExit { label: id });
 }
 
 /// RAII span for call sites without an `op_label` (telemetry-only).
@@ -265,7 +328,7 @@ pub fn phase(label: &'static str) -> PhaseGuard {
         };
     }
     let id = intern_static(label);
-    push_event(EventKind::PhaseEnter { label: id });
+    push_enter(Nest::Phase, id);
     PhaseGuard {
         label: id,
         armed: true,
@@ -275,7 +338,7 @@ pub fn phase(label: &'static str) -> PhaseGuard {
 impl Drop for PhaseGuard {
     fn drop(&mut self) {
         if self.armed {
-            push_event(EventKind::PhaseExit { label: self.label });
+            push_exit(Nest::Phase, self.label);
         }
     }
 }
@@ -354,7 +417,10 @@ pub const CONTROL_REGION: u64 = u64::MAX;
 /// compiled); finishing it collects every event recorded since the
 /// start into a [`TraceSnapshot`]. Sessions nest/overlap: each keeps
 /// its own per-ring cursors, and the recorder switches off when the
-/// last one finishes.
+/// last one finishes. A window can cut through spans that are open on
+/// any thread; every event is kept, and [`TraceSnapshot::validate`]
+/// checks the cut ends against the depth stamped on each enter/exit
+/// and against [`ThreadTrace::live`].
 pub struct TraceSession {
     /// Ring-head positions at start, indexed by registry slot. Rings
     /// created after the session started implicitly begin at 0.
@@ -396,6 +462,7 @@ impl TraceSession {
         if std::mem::take(&mut self.live) {
             deactivate();
         }
+        let own = own_ring();
         let reg = registry().lock().unwrap();
         let mut threads = Vec::new();
         for (idx, ring) in reg.rings.iter().enumerate() {
@@ -406,6 +473,7 @@ impl TraceSession {
                     ring: idx,
                     events: read.events,
                     dropped: read.dropped,
+                    live: Some(idx) != own && !reg.free.contains(&idx),
                 });
             }
         }

@@ -28,14 +28,17 @@ pub struct Event {
 /// resolved through the snapshot's label table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
-    /// An `op_label` (or telemetry-only) span opened.
-    SpanEnter { label: u32 },
-    /// The innermost span closed.
-    SpanExit { label: u32 },
-    /// A recovery phase opened (evidence scan, frame replay, …).
-    PhaseEnter { label: u32 },
+    /// An `op_label` (or telemetry-only) span opened. `depth` is the
+    /// number of spans already open on the recording thread.
+    SpanEnter { label: u32, depth: u32 },
+    /// The innermost span closed. `depth` repeats its enter's depth,
+    /// or is [`NO_OPEN`] when no span was open on the thread.
+    SpanExit { label: u32, depth: u32 },
+    /// A recovery phase opened (evidence scan, frame replay, …);
+    /// `depth` counts phases as [`EventKind::SpanEnter`] counts spans.
+    PhaseEnter { label: u32, depth: u32 },
     /// A recovery phase closed.
-    PhaseExit { label: u32 },
+    PhaseExit { label: u32, depth: u32 },
     /// One persist round-trip: `lines` cache lines actually flushed
     /// (0 ⇒ redundant — the barrier found nothing dirty).
     Persist {
@@ -54,6 +57,9 @@ pub enum EventKind {
     CrashSite { shard: u64, events: u64 },
 }
 
+/// Exit depth recorded when the thread had nothing open to close.
+pub const NO_OPEN: u32 = u32::MAX;
+
 const K_SPAN_ENTER: u64 = 1;
 const K_SPAN_EXIT: u64 = 2;
 const K_PHASE_ENTER: u64 = 3;
@@ -69,10 +75,16 @@ impl EventKind {
     pub(crate) fn encode(self) -> (u64, u64, u64) {
         let pack = |k: u64, a: u32| (k << 32) | u64::from(a);
         match self {
-            EventKind::SpanEnter { label } => (pack(K_SPAN_ENTER, label), 0, 0),
-            EventKind::SpanExit { label } => (pack(K_SPAN_EXIT, label), 0, 0),
-            EventKind::PhaseEnter { label } => (pack(K_PHASE_ENTER, label), 0, 0),
-            EventKind::PhaseExit { label } => (pack(K_PHASE_EXIT, label), 0, 0),
+            EventKind::SpanEnter { label, depth } => {
+                (pack(K_SPAN_ENTER, label), u64::from(depth), 0)
+            }
+            EventKind::SpanExit { label, depth } => (pack(K_SPAN_EXIT, label), u64::from(depth), 0),
+            EventKind::PhaseEnter { label, depth } => {
+                (pack(K_PHASE_ENTER, label), u64::from(depth), 0)
+            }
+            EventKind::PhaseExit { label, depth } => {
+                (pack(K_PHASE_EXIT, label), u64::from(depth), 0)
+            }
             EventKind::Persist {
                 region,
                 lines,
@@ -89,10 +101,22 @@ impl EventKind {
     pub(crate) fn decode(ka: u64, b: u64, c: u64) -> Option<Self> {
         let a = ka as u32;
         Some(match ka >> 32 {
-            K_SPAN_ENTER => EventKind::SpanEnter { label: a },
-            K_SPAN_EXIT => EventKind::SpanExit { label: a },
-            K_PHASE_ENTER => EventKind::PhaseEnter { label: a },
-            K_PHASE_EXIT => EventKind::PhaseExit { label: a },
+            K_SPAN_ENTER => EventKind::SpanEnter {
+                label: a,
+                depth: b as u32,
+            },
+            K_SPAN_EXIT => EventKind::SpanExit {
+                label: a,
+                depth: b as u32,
+            },
+            K_PHASE_ENTER => EventKind::PhaseEnter {
+                label: a,
+                depth: b as u32,
+            },
+            K_PHASE_EXIT => EventKind::PhaseExit {
+                label: a,
+                depth: b as u32,
+            },
             K_PERSIST => EventKind::Persist {
                 region: a,
                 lines: b as u32,
@@ -182,7 +206,9 @@ impl Ring {
     /// Reads events at positions `[from, head)`, oldest first. Events
     /// already overwritten (the window outran the capacity) and slots
     /// torn by a concurrent write are counted in `dropped` instead of
-    /// appearing in the result.
+    /// appearing in the result. Drops are always a prefix: when the
+    /// writer laps the reader mid-read, the events read before the lost
+    /// slot are dropped with it, so the result is gapless.
     pub fn read_from(&self, from: u64) -> RingRead {
         let head = self.head.load(Ordering::Acquire);
         let lo = from.max(head.saturating_sub(self.mask + 1));
@@ -193,7 +219,8 @@ impl Ring {
             let s1 = slot[0].load(Ordering::Acquire);
             if s1 != 2 * pos + 2 {
                 // Torn or already recycled by a faster writer.
-                dropped += 1;
+                dropped += 1 + events.len() as u64;
+                events.clear();
                 continue;
             }
             let ts = slot[1].load(Ordering::Relaxed);
@@ -202,13 +229,17 @@ impl Ring {
             let c = slot[4].load(Ordering::Relaxed);
             fence(Ordering::Acquire);
             let s2 = slot[0].load(Ordering::Relaxed);
-            if s1 != s2 {
-                dropped += 1;
-                continue;
-            }
-            match EventKind::decode(ka, b, c) {
+            let kind = if s1 == s2 {
+                EventKind::decode(ka, b, c)
+            } else {
+                None
+            };
+            match kind {
                 Some(kind) => events.push(Event { pos, ts, kind }),
-                None => dropped += 1,
+                None => {
+                    dropped += 1 + events.len() as u64;
+                    events.clear();
+                }
             }
         }
         RingRead {
@@ -224,7 +255,8 @@ pub struct RingRead {
     /// Decoded events in position order.
     pub events: Vec<Event>,
     /// Events in the requested window that could not be decoded
-    /// (overwritten by wraparound or torn mid-write).
+    /// (overwritten by wraparound or torn mid-write), and any read
+    /// before such a slot; `events` starts right after them.
     pub dropped: u64,
     /// Ring head at snapshot time (pass as the next `from`).
     pub head: u64,
@@ -237,10 +269,13 @@ mod tests {
     #[test]
     fn roundtrips_every_kind() {
         let kinds = [
-            EventKind::SpanEnter { label: 7 },
-            EventKind::SpanExit { label: 7 },
-            EventKind::PhaseEnter { label: 1 },
-            EventKind::PhaseExit { label: 1 },
+            EventKind::SpanEnter { label: 7, depth: 2 },
+            EventKind::SpanExit { label: 7, depth: 2 },
+            EventKind::PhaseEnter { label: 1, depth: 0 },
+            EventKind::PhaseExit {
+                label: 1,
+                depth: NO_OPEN,
+            },
             EventKind::Persist {
                 region: 3,
                 lines: 12,
@@ -276,7 +311,7 @@ mod tests {
     fn wraparound_reports_dropped() {
         let ring = Ring::new(64);
         for i in 0..200u64 {
-            ring.push(i, EventKind::SpanEnter { label: 1 });
+            ring.push(i, EventKind::SpanEnter { label: 1, depth: 0 });
         }
         let read = ring.read_from(0);
         assert_eq!(read.head, 200);

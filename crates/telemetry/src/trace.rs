@@ -7,7 +7,9 @@ use crate::ring::{Event, EventKind};
 use std::fmt::Write as _;
 use std::path::Path;
 
-const MAGIC: &str = "pstack-trace v1";
+/// v2: span and phase events carry their nesting depth in payload
+/// `b`, and a ring header may end in `live`.
+const MAGIC: &str = "pstack-trace v2";
 
 fn escape(name: &str) -> String {
     let mut out = String::with_capacity(name.len());
@@ -50,7 +52,8 @@ impl TraceSnapshot {
             let _ = writeln!(out, "label {id} {}", escape(name));
         }
         for t in &self.threads {
-            let _ = writeln!(out, "ring {} dropped={}", t.ring, t.dropped);
+            let live = if t.live { " live" } else { "" };
+            let _ = writeln!(out, "ring {} dropped={}{live}", t.ring, t.dropped);
             for e in &t.events {
                 let (ka, b, c) = e.kind.encode();
                 let _ = writeln!(out, "e {} {} {ka} {b} {c}", e.pos, e.ts);
@@ -101,10 +104,16 @@ impl TraceSnapshot {
                         .and_then(|v| v.strip_prefix("dropped="))
                         .and_then(|v| v.parse().ok())
                         .ok_or_else(|| fail("bad dropped count"))?;
+                    let live = match parts.next() {
+                        None => false,
+                        Some("live") => true,
+                        Some(_) => return Err(fail("bad ring flag")),
+                    };
                     snap.threads.push(ThreadTrace {
                         ring,
                         events: Vec::new(),
                         dropped,
+                        live,
                     });
                 }
                 "e" => {
@@ -167,8 +176,8 @@ impl TraceSnapshot {
             }
             let _ = write!(
                 out,
-                "\n    {{\"ring\": {}, \"dropped\": {}, \"events\": [",
-                t.ring, t.dropped
+                "\n    {{\"ring\": {}, \"dropped\": {}, \"live\": {}, \"events\": [",
+                t.ring, t.dropped, t.live
             );
             for (ei, e) in t.events.iter().enumerate() {
                 if ei > 0 {
@@ -195,27 +204,27 @@ impl TraceSnapshot {
     fn event_json(&self, e: &Event) -> String {
         let head = format!("{{\"pos\": {}, \"ts\": {}, ", e.pos, e.ts);
         let body = match e.kind {
-            EventKind::SpanEnter { label } => {
+            EventKind::SpanEnter { label, depth } => {
                 format!(
-                    "\"kind\": \"span-enter\", \"label\": {}",
+                    "\"kind\": \"span-enter\", \"label\": {}, \"depth\": {depth}",
                     json_str(&self.name(label))
                 )
             }
-            EventKind::SpanExit { label } => {
+            EventKind::SpanExit { label, depth } => {
                 format!(
-                    "\"kind\": \"span-exit\", \"label\": {}",
+                    "\"kind\": \"span-exit\", \"label\": {}, \"depth\": {depth}",
                     json_str(&self.name(label))
                 )
             }
-            EventKind::PhaseEnter { label } => {
+            EventKind::PhaseEnter { label, depth } => {
                 format!(
-                    "\"kind\": \"phase-enter\", \"label\": {}",
+                    "\"kind\": \"phase-enter\", \"label\": {}, \"depth\": {depth}",
                     json_str(&self.name(label))
                 )
             }
-            EventKind::PhaseExit { label } => {
+            EventKind::PhaseExit { label, depth } => {
                 format!(
-                    "\"kind\": \"phase-exit\", \"label\": {}",
+                    "\"kind\": \"phase-exit\", \"label\": {}, \"depth\": {depth}",
                     json_str(&self.name(label))
                 )
             }
@@ -342,11 +351,12 @@ mod tests {
             threads: vec![ThreadTrace {
                 ring: 3,
                 dropped: 2,
+                live: true,
                 events: vec![
                     Event {
                         pos: 10,
                         ts: 100,
-                        kind: EventKind::SpanEnter { label: 1 },
+                        kind: EventKind::SpanEnter { label: 1, depth: 0 },
                     },
                     Event {
                         pos: 11,
@@ -360,7 +370,7 @@ mod tests {
                     Event {
                         pos: 12,
                         ts: 200,
-                        kind: EventKind::SpanExit { label: 1 },
+                        kind: EventKind::SpanExit { label: 1, depth: 0 },
                     },
                 ],
             }],
@@ -376,14 +386,15 @@ mod tests {
         assert_eq!(back.threads.len(), 1);
         assert_eq!(back.threads[0].ring, 3);
         assert_eq!(back.threads[0].dropped, 2);
+        assert!(back.threads[0].live);
         assert_eq!(back.threads[0].events, snap.threads[0].events);
     }
 
     #[test]
     fn parse_rejects_garbage() {
         assert!(TraceSnapshot::parse("not a trace").is_err());
-        assert!(TraceSnapshot::parse("pstack-trace v1\nbogus line").is_err());
-        assert!(TraceSnapshot::parse("pstack-trace v1\ne 1 2 3 4 5").is_err());
+        assert!(TraceSnapshot::parse("pstack-trace v2\nbogus line").is_err());
+        assert!(TraceSnapshot::parse("pstack-trace v2\ne 1 2 3 4 5").is_err());
     }
 
     #[test]

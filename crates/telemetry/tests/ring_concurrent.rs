@@ -17,6 +17,7 @@ const PUSHES: u64 = 200_000;
 fn stamped(i: u64) -> EventKind {
     EventKind::SpanEnter {
         label: (i % 7) as u32,
+        depth: 0,
     }
 }
 

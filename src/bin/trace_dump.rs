@@ -1,6 +1,6 @@
 //! `trace-dump` — render a flight-recorder trace file.
 //!
-//! A [`TraceSession`] can be persisted as a `pstack-trace v1` text
+//! A [`TraceSession`] can be persisted as a `pstack-trace v2` text
 //! file (`TraceSnapshot::write_file`; `examples/kv.rs` writes one when
 //! `PSTACK_TRACE` names a path). This tool turns that file into
 //! something a human or a script can consume:

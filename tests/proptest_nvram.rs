@@ -3,10 +3,11 @@
 //! write/flush/crash interleavings.
 
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 
-use pstack::nvram::{PMemBuilder, POffset};
+use pstack::nvram::{PMem, PMemBuilder, POffset};
 
 const LEN: usize = 4096;
 const LINE: usize = 64;
@@ -81,6 +82,114 @@ impl Model {
             self.dirty.clear();
         }
         self.cached = self.durable.clone();
+    }
+}
+
+/// What one racing thread observed before the power cut reached it:
+/// the last value whose store returned `Ok`, and the last one whose
+/// flush returned `Ok` afterwards.
+#[derive(Debug, Default, Clone, Copy)]
+struct Observed {
+    stored: u64,
+    flushed: u64,
+}
+
+/// Writes 1, 2, 3, … into the `u64` at `off`, flushing each, until the
+/// region reports the crash.
+fn race_writer(pmem: &PMem, off: POffset, ops: &AtomicU64) -> Observed {
+    let mut seen = Observed::default();
+    for v in 1.. {
+        if pmem.write_u64(off, v).is_err() {
+            break;
+        }
+        seen.stored = v;
+        ops.fetch_add(1, Ordering::SeqCst);
+        if pmem.flush(off, 8).is_err() {
+            break;
+        }
+        seen.flushed = v;
+    }
+    seen
+}
+
+/// Increments the `u64` at `off` by compare-exchange, flushing each
+/// installed value, until the region reports the crash.
+fn race_cas(pmem: &PMem, off: POffset, ops: &AtomicU64) -> Observed {
+    let mut seen = Observed::default();
+    while let Ok(cur) = pmem.read_u64(off) {
+        match pmem.compare_exchange(off, &cur.to_le_bytes(), &(cur + 1).to_le_bytes()) {
+            Ok(true) => seen.stored = cur + 1,
+            Ok(false) => continue,
+            Err(_) => break,
+        }
+        ops.fetch_add(1, Ordering::SeqCst);
+        if pmem.flush(off, 8).is_err() {
+            break;
+        }
+        seen.flushed = seen.stored;
+    }
+    seen
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A power cut is a single point in every thread's history: writers
+    /// and CAS-ers racing `crash_now` either land before it (their call
+    /// returned `Ok`) or not at all. Nothing stored after the crash is
+    /// readable after `reopen`, every flush that returned `Ok` is
+    /// durable, and the event counter stays frozen at the crash.
+    #[test]
+    fn post_crash_stores_never_become_durable(
+        writers in 1usize..4,
+        eager in proptest::bool::ANY,
+        survival in 0usize..3,
+        crash_after in 0u64..300,
+    ) {
+        let prob = [0.0, 0.5, 1.0][survival];
+        let pmem = PMemBuilder::new()
+            .len(LEN)
+            .line_size(LINE)
+            .eager_flush(eager)
+            .build_in_memory();
+        let cas_cell = POffset::new((LEN - LINE) as u64);
+        let ops = AtomicU64::new(0);
+        let (seen, cas_seen, frozen_at) = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..writers)
+                .map(|w| {
+                    let (pmem, ops) = (&pmem, &ops);
+                    s.spawn(move || race_writer(pmem, POffset::new((w * LINE) as u64), ops))
+                })
+                .collect();
+            let cas = s.spawn(|| race_cas(&pmem, cas_cell, &ops));
+            while ops.load(Ordering::SeqCst) < crash_after {
+                std::thread::yield_now();
+            }
+            pmem.crash_now(crash_after, prob);
+            let frozen_at = pmem.events();
+            let seen: Vec<Observed> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+            (seen, cas.join().unwrap(), frozen_at)
+        });
+        prop_assert_eq!(pmem.events(), frozen_at, "events counted after the crash");
+
+        let pmem = pmem.reopen().unwrap();
+        let cells = seen
+            .iter()
+            .enumerate()
+            .map(|(w, o)| (POffset::new((w * LINE) as u64), *o))
+            .chain(std::iter::once((cas_cell, cas_seen)));
+        for (off, o) in cells {
+            let got = pmem.read_u64(off).unwrap();
+            if eager || prob >= 1.0 {
+                // Every store that returned `Ok` reached the image or a
+                // surviving line; none after the crash did.
+                prop_assert_eq!(got, o.stored, "cell {}: {:?}", off, o);
+            } else if prob <= 0.0 {
+                prop_assert_eq!(got, o.flushed, "cell {}: {:?}", off, o);
+            } else {
+                prop_assert!(got == o.flushed || got == o.stored, "cell {}: {} vs {:?}", off, got, o);
+            }
+        }
     }
 }
 
