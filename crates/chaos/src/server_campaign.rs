@@ -89,11 +89,6 @@ pub struct ServerCampaignConfig {
     pub queue_capacity: usize,
     /// Batch-window size: requests per group commit.
     pub batch: usize,
-    /// Route batch windows through the asynchronous flush pipeline
-    /// ([`ShardedKvStore::set_pipeline`]): record and log-tail
-    /// persists of concurrent windows ride overlapping `flush_async`
-    /// flights, and kills land while flights are still queued.
-    pub pipeline: bool,
     /// Per-shard request-table slots — the bound on outstanding or
     /// unacked requests per shard.
     pub table_cap: u32,
@@ -148,7 +143,6 @@ impl ServerCampaignConfig {
             variant: KvVariant::Nsrl,
             queue_capacity: 64,
             batch: 4,
-            pipeline: false,
             table_cap: 64,
             max_crashes: 8,
             crash_window: (8, 60),
@@ -175,14 +169,6 @@ impl ServerCampaignConfig {
     #[must_use]
     pub fn queue_capacity(mut self, queue_capacity: usize) -> Self {
         self.queue_capacity = queue_capacity;
-        self
-    }
-
-    /// Enables the asynchronous flush pipeline (see
-    /// [`ServerCampaignConfig::pipeline`]).
-    #[must_use]
-    pub fn pipeline(mut self, pipeline: bool) -> Self {
-        self.pipeline = pipeline;
         self
     }
 }
@@ -574,8 +560,7 @@ fn run_server_campaign_inner(cfg: &ServerCampaignConfig) -> Result<ServerCampaig
     let attach = |control: &PMem,
                   stripe: &PMemStripe|
      -> Result<(ShardedKvStore, KvServeFunction, StripedRuntime), PError> {
-        let mut store = ShardedKvStore::open(stripe.regions(), cfg.variant)?;
-        store.set_pipeline(cfg.pipeline);
+        let store = ShardedKvStore::open(stripe.regions(), cfg.variant)?;
         let tables = open_req_tables(stripe)?;
         let registry = make_registry(&store, &tables)?;
         let rt = StripedRuntime::open(control.clone(), stripe.clone(), &registry)?;
@@ -584,8 +569,7 @@ fn run_server_campaign_inner(cfg: &ServerCampaignConfig) -> Result<ServerCampaig
     };
     let reboot = |rt: &StripedRuntime| -> Result<(PMem, PMemStripe), PError> {
         let next = rt.reopen_all_with(|_, stripe| {
-            let mut store = ShardedKvStore::open(stripe.regions(), cfg.variant)?;
-            store.set_pipeline(cfg.pipeline);
+            let store = ShardedKvStore::open(stripe.regions(), cfg.variant)?;
             let tables = open_req_tables(stripe)?;
             make_registry(&store, &tables)
         })?;
@@ -866,11 +850,10 @@ mod tests {
 
     #[test]
     fn pipelined_server_campaign_exactly_once_under_live_load() {
-        // The same exactly-once contract with batch windows riding the
-        // async flush pipeline: windows of all shards are staged and
-        // begun before any commits, so kills land while several shards
-        // hold un-awaited flights.
-        let cfg = ServerCampaignConfig::new(4, 20, 33).pipeline(true);
+        // The exactly-once contract with kills landing while batch
+        // windows hold un-awaited flush flights (descriptors, records,
+        // epoch bumps, answers): the served path's only commit path.
+        let cfg = ServerCampaignConfig::new(4, 20, 33);
         let report = run_server_campaign(&cfg).unwrap();
         assert!(report.is_linearizable(), "verdict: {:?}", report.verdict);
         assert!(report.crashes > 0, "kills must land under live load");

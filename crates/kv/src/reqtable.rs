@@ -14,11 +14,12 @@
 //!
 //! A slot moves `Free → Pending → Done → Done+Acked → Free`:
 //!
-//! * [`KvRequestTable::submit`] claims a free slot, persists the
-//!   descriptor **before** any effect can execute (so an effect found
-//!   in the store always has a durable descriptor naming it), and
+//! * [`KvRequestTable::submit`] claims a free slot, writes the
+//!   descriptor and issues its persist without waiting for it, and
 //!   returns [`ReqSubmit::Full`] — the admission-control signal — when
-//!   no slot is recyclable.
+//!   no slot is recyclable. The executing window calls
+//!   [`KvRequestTable::await_descriptors`] before any effect publishes,
+//!   so an effect in the store always has a durable descriptor.
 //! * [`KvRequestTable::mark_done`] / [`KvRequestTable::mark_done_batch`]
 //!   make the answer payload durable no later than the one-byte done
 //!   flag: both live in the slot's one cache line, written payload
@@ -62,7 +63,7 @@ use std::sync::{Arc, Mutex};
 
 use pstack_core::PError;
 use pstack_heap::PHeap;
-use pstack_nvram::{PMem, POffset};
+use pstack_nvram::{FlushTicket, PMem, POffset};
 
 use crate::funcs::{KvTaskAnswer, KvTaskOp, KvTaskResult};
 
@@ -92,8 +93,9 @@ const F_REQ_ID: u64 = 40;
 /// Outcome of a [`KvRequestTable::submit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReqSubmit {
-    /// The request id was unknown; a slot now holds its durable
-    /// descriptor and the operation has never executed.
+    /// The request id was unknown; a slot now holds its descriptor
+    /// (durable before its window executes) and the operation has
+    /// never executed.
     Fresh(u32),
     /// The request id is already in the table — a retry. `answer` is
     /// the durable answer when the first execution completed, `None`
@@ -149,6 +151,8 @@ struct ReqIndex {
     /// slots still present (evidence in recycled slots is gone — the
     /// line re-grows as the client acks again).
     acked_high: HashMap<u32, u32>,
+    /// The descriptor flight `submit` last issued for each slot.
+    descriptors: HashMap<u32, FlushTicket>,
 }
 
 /// A persistent, bounded, request-id-keyed descriptor/answer table.
@@ -347,8 +351,9 @@ impl KvRequestTable {
     /// sequence numbers ([`ReqSubmit::Stale`]), claims (possibly
     /// recycling) a slot for a fresh id, and reports
     /// [`ReqSubmit::Full`] when nothing is recyclable. A fresh
-    /// descriptor is durable when this returns — effects can only
-    /// execute after their descriptor.
+    /// descriptor's persist is issued, not awaited: it is durable
+    /// before its window executes, through
+    /// [`KvRequestTable::await_descriptors`].
     ///
     /// # Errors
     ///
@@ -421,11 +426,43 @@ impl KvRequestTable {
             }
         }
         self.pmem.write_u64(e + F_REQ_ID, req_id)?;
-        self.pmem.flush(e, SLOT_STRIDE as usize)?;
+        let ticket = self.pmem.flush_async(e, SLOT_STRIDE as usize)?;
+        idx.descriptors.insert(slot, ticket);
         idx.by_id.insert(req_id, slot);
         let live = u64::from(self.capacity) - idx.free.len() as u64;
         idx.live_high_water = idx.live_high_water.max(live);
         Ok(ReqSubmit::Fresh(slot))
+    }
+
+    /// Makes the descriptors of `slots` durable (PSan checks it) — call
+    /// it before the first effect of any of these requests publishes.
+    /// Flights complete in issue order, so once a later flight on the
+    /// region was awaited (a window's records, say) this waits for
+    /// nothing.
+    ///
+    /// # Errors
+    ///
+    /// Out-of-range slot, or a crash while waiting.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the volatile index lock is poisoned.
+    pub fn await_descriptors(&self, slots: &[u32]) -> Result<(), PError> {
+        let youngest = {
+            let mut idx = self.idx.lock().expect("request-table index poisoned");
+            slots
+                .iter()
+                .filter_map(|slot| idx.descriptors.remove(slot))
+                .max()
+        };
+        if let Some(ticket) = youngest {
+            self.pmem.await_ticket(&ticket)?;
+        }
+        for &slot in slots {
+            self.pmem
+                .psan_check_durable(self.slot(slot)?, SLOT_STRIDE as usize);
+        }
+        Ok(())
     }
 
     /// Looks request `req_id` up without admitting anything.
@@ -572,8 +609,26 @@ impl KvRequestTable {
     ///
     /// Out-of-range slot or NVRAM errors.
     pub fn mark_done_batch(&self, entries: &[(u32, u32, KvTaskResult)]) -> Result<(), PError> {
+        if let Some(ticket) = self.issue_answers(entries)? {
+            self.pmem.await_ticket(&ticket)?;
+        }
+        Ok(())
+    }
+
+    /// [`KvRequestTable::mark_done_batch`] without the wait: returns
+    /// the ticket of the answers' flight (`None` for no entries), which
+    /// must be awaited before any answer is shown to a client. Each
+    /// slot's descriptor shares its line, so it rides the same flight.
+    ///
+    /// # Errors
+    ///
+    /// Out-of-range slot or NVRAM errors.
+    pub fn issue_answers(
+        &self,
+        entries: &[(u32, u32, KvTaskResult)],
+    ) -> Result<Option<FlushTicket>, PError> {
         let Some(&(first, ..)) = entries.first() else {
-            return Ok(());
+            return Ok(None);
         };
         let mut lo = Self::slot_off(self.base, first).get();
         let mut hi = lo;
@@ -584,8 +639,7 @@ impl KvRequestTable {
             hi = hi.max(e.get());
         }
         let span = (hi - lo + SLOT_STRIDE) as usize;
-        self.pmem.flush(POffset::new(lo), span)?;
-        Ok(())
+        Ok(Some(self.pmem.flush_async(POffset::new(lo), span)?))
     }
 
     /// Records the client's acknowledgement of `req_id`'s answer and
@@ -886,6 +940,11 @@ mod tests {
             };
             entries.push((slot, 1u32, KvTaskResult::Got(Some(req as i64))));
         }
+        // Submits leave their descriptor flights in the air; land them
+        // first so the delta below is the answers' alone.
+        assert_eq!(pmem.inflight_tickets(), 8);
+        let slots: Vec<u32> = entries.iter().map(|&(slot, ..)| slot).collect();
+        table.await_descriptors(&slots).unwrap();
         let before = pmem.stats().snapshot();
         table.mark_done_batch(&entries).unwrap();
         let delta = pmem.stats().snapshot() - before;
@@ -897,6 +956,43 @@ mod tests {
             assert_eq!(table.result(slot).unwrap().unwrap().result, expect);
         }
         assert!(table.mark_done_batch(&[]).is_ok());
+    }
+
+    #[test]
+    fn submit_waits_for_nothing_and_the_window_waits_once() {
+        let pmem = PMemBuilder::new().len(1 << 16).psan(true).build_in_memory(); // buffered
+        let heap = PHeap::format(pmem.clone(), POffset::new(0), 1 << 16).unwrap();
+        let table = KvRequestTable::format(pmem.clone(), &heap, 4).unwrap();
+        let before = pmem.stats().snapshot();
+        let mut slots = Vec::new();
+        for req in 1..=3u64 {
+            let ReqSubmit::Fresh(slot) = table.submit(req, KvTaskOp::Get { key: req }).unwrap()
+            else {
+                panic!("fresh")
+            };
+            slots.push(slot);
+        }
+        let d = pmem.stats().snapshot() - before;
+        assert_eq!(d.round_trip_waits, 0, "submit issues, never waits: {d}");
+        assert_eq!(d.async_flushes, 3, "one descriptor flight per submit: {d}");
+        assert_eq!(d.persists, 0, "nothing has landed yet: {d}");
+
+        // The window's wait lands all three flights at once; a second
+        // wait (the flights already landed) costs nothing.
+        table.await_descriptors(&slots).unwrap();
+        table.await_descriptors(&slots).unwrap();
+        let d = pmem.stats().snapshot() - before;
+        assert_eq!(d.round_trip_waits, 1, "{d}");
+        assert_eq!(d.persists, 3, "{d}");
+        assert!(pmem.psan_violations().is_empty());
+
+        // Unawaited, a descriptor does not outlive a crash that keeps
+        // no unflushed line: the slot reopens free.
+        table.submit(9, KvTaskOp::Get { key: 9 }).unwrap();
+        pmem.crash_now(0, 0.0);
+        let t2 = KvRequestTable::open(pmem.reopen().unwrap(), table.base()).unwrap();
+        assert!(t2.lookup(9).unwrap().is_none());
+        assert_eq!(t2.live(), 3);
     }
 
     #[test]

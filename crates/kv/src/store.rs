@@ -94,10 +94,11 @@
 //!   recovery detects a completed-but-unacked operation purely from
 //!   the `(pid, seq)` evidence already in the log.
 //!   [`PKvStore::apply_batch`] is the group-commit path: it quiesces
-//!   the region, stages the records of a whole batch, makes them (and
-//!   the log tail) durable with one coalesced persist, publishes each
-//!   touched bucket's head once, persists the heads, and finally bumps
-//!   the persistent **flush epoch** in the header.
+//!   the region, stages the records of a whole batch, makes them and
+//!   the log tail durable with two flush flights awaited together (one
+//!   coalesced record persist, one device round-trip of waiting),
+//!   publishes each touched bucket's head once, persists the heads,
+//!   and finally bumps the persistent **flush epoch** in the header.
 //!   On both paths records are durable strictly before any head that
 //!   can reach them, so a crash at *any* flush boundary leaves each
 //!   bucket either entirely pre-batch or entirely post-batch — never a
@@ -467,11 +468,6 @@ pub struct PKvStore {
     /// detectable publication, group commits quiesce the region —
     /// through the mutator gate shared by every handle on the region).
     eager: bool,
-    /// Volatile knob ([`PKvStore::set_pipeline`]): `true` routes group
-    /// commits and compaction through the asynchronous flush pipeline
-    /// ([`PMem::flush_async`] tickets) so persist round-trips overlap.
-    /// Off by default — the synchronous path is the measured baseline.
-    pipeline: bool,
 }
 
 /// Phase-1 output of a group commit: records written (volatile), per
@@ -511,7 +507,8 @@ impl KvPendingBatch<'_> {
 
     /// Awaits the in-flight persists and publishes the batch — phases
     /// 3–5 of [`PKvStore::apply_batch`]. Outcomes are reported in
-    /// submission order, exactly as `apply_batch` would.
+    /// submission order, exactly as `apply_batch` would, and the flush
+    /// epoch is durable on return.
     ///
     /// # Errors
     ///
@@ -519,15 +516,43 @@ impl KvPendingBatch<'_> {
     /// after restart).
     pub fn commit(self) -> Result<Vec<KvApplied>, PError> {
         let store = self.store;
+        let (outcomes, epoch) = self.commit_deferred(|| Ok(()))?;
+        if let Some(ticket) = epoch {
+            store.pmem.await_ticket(&ticket)?;
+        }
+        Ok(outcomes)
+    }
+
+    /// [`KvPendingBatch::commit`] that returns the flush-epoch bump
+    /// **in flight**: the heads are durable on return, so a persist
+    /// depending only on them (answers naming the batch's effects) can
+    /// be issued now and awaited with the ticket in one round-trip.
+    /// `before_publish` runs after the record and log-tail flights
+    /// complete and before the first bucket-head CAS (not at all when
+    /// nothing was staged).
+    ///
+    /// # Errors
+    ///
+    /// A propagated crash (recover each op with its recovery dual
+    /// after restart), or `before_publish`'s error.
+    pub fn commit_deferred<F>(
+        self,
+        before_publish: F,
+    ) -> Result<(Vec<KvApplied>, Option<FlushTicket>), PError>
+    where
+        F: FnOnce() -> Result<(), PError>,
+    {
+        let store = self.store;
         let Some((lo, hi)) = self.slots else {
-            return Ok(self.outcomes);
+            return Ok((self.outcomes, None));
         };
-        // Drain every flight before any head can reach its records:
-        // both tickets ride overlapping round-trips, so this costs
-        // about one device latency, not one per flush.
-        for ticket in &self.tickets {
+        // Drain every flight before any head can reach its records.
+        // Flights complete in issue order, so awaiting the youngest
+        // first drains them all in one device round-trip.
+        for ticket in self.tickets.iter().rev() {
             store.pmem.await_ticket(ticket)?;
         }
+        before_publish()?;
         // Phase 3 — publish: flip each touched bucket's head once, to
         // the newest staged record (all-or-nothing per bucket).
         for (&bucket, &new_head) in &self.staged_heads {
@@ -544,8 +569,8 @@ impl KvPendingBatch<'_> {
                 ));
             }
         }
-        store.seal_batch(lo, hi, &self.staged_heads)?;
-        Ok(self.outcomes)
+        let epoch = store.seal_batch(lo, hi, &self.staged_heads)?;
+        Ok((self.outcomes, Some(epoch)))
     }
 }
 
@@ -702,7 +727,6 @@ impl PKvStore {
             nbuckets,
             variant,
             eager,
-            pipeline: false,
         }
     }
 
@@ -737,6 +761,13 @@ impl PKvStore {
     #[must_use]
     pub fn base(&self) -> POffset {
         self.base
+    }
+
+    /// The region the store lives in (await a ticket from
+    /// [`KvPendingBatch::commit_deferred`] on it).
+    #[must_use]
+    pub fn pmem(&self) -> &PMem {
+        &self.pmem
     }
 
     /// Number of hash buckets.
@@ -789,28 +820,6 @@ impl PKvStore {
     #[must_use]
     pub fn is_eager(&self) -> bool {
         self.eager
-    }
-
-    /// Enables or disables the asynchronous flush pipeline for this
-    /// handle (volatile; clones made *after* the call inherit it).
-    /// When on, [`PKvStore::apply_batch`] issues its record and
-    /// log-tail persists as overlapping [`PMem::flush_async`] flights
-    /// and awaits them together before publishing, and
-    /// [`PKvStore::compact`] overlaps the carry-block persist with
-    /// carry building. Durability ordering is unchanged — nothing is
-    /// published before its records' tickets complete — so the
-    /// evidence-scan recovery argument carries over verbatim; only the
-    /// wall-clock shape of a commit differs. Ignored on an eager store:
-    /// per-write durability leaves no round-trips to overlap.
-    pub fn set_pipeline(&mut self, on: bool) {
-        self.pipeline = on && !self.eager;
-    }
-
-    /// `true` when group commits and compaction overlap their persist
-    /// round-trips through the asynchronous flush pipeline.
-    #[must_use]
-    pub fn is_pipelined(&self) -> bool {
-        self.pipeline
     }
 
     /// Completed group commits since format — the persistent flush
@@ -1085,11 +1094,14 @@ impl PKvStore {
     /// succeeds).
     ///
     /// On a **batched** store this is the hot path the sharding layer
-    /// amortizes persists with: all records (and the log tail) become
-    /// durable in one coalesced persist, each touched bucket's head is
-    /// published once, the heads are persisted, and the header's flush
-    /// epoch is bumped — 3 + ⌈heads/lines⌉ persist round-trips for the
-    /// whole batch instead of ≥ 3 per mutation. A crash at any flush
+    /// amortizes persists with: all records and the log tail become
+    /// durable through two flush flights awaited together (one
+    /// round-trip of waiting), each touched bucket's head is published
+    /// once, the heads are persisted, and the header's flush epoch is
+    /// bumped — 3 waited round-trips for the whole batch instead of
+    /// ≥ 3 per mutation. It is exactly
+    /// [`PKvStore::apply_batch_begin`] followed by
+    /// [`KvPendingBatch::commit`]. A crash at any flush
     /// boundary leaves every bucket either entirely pre-batch or
     /// entirely post-batch (records are durable strictly before any
     /// head that can reach them), so recovery remains the per-key
@@ -1127,71 +1139,12 @@ impl PKvStore {
     /// ```
     pub fn apply_batch(&self, ops: &[KvBatchOp]) -> Result<Vec<KvApplied>, PError> {
         let _label = op_label("kv.apply_batch");
-        self.apply_batch_inner(ops)
+        self.apply_batch_begin(ops)?.commit()
     }
 
-    /// [`PKvStore::apply_batch`] without the attribution label, so the
-    /// per-op entry points ([`PKvStore::put`] & friends) keep their own
-    /// label when they degenerate to a singleton commit.
-    fn apply_batch_inner(&self, ops: &[KvBatchOp]) -> Result<Vec<KvApplied>, PError> {
-        if self.eager {
-            return ops.iter().map(|&op| self.apply_one(op)).collect();
-        }
-        if self.pipeline {
-            return self.apply_batch_begin(ops)?.commit();
-        }
-        // Region-scoped (not handle-scoped): any handle opened on this
-        // region — clone or independent `open` — quiesces here, and so
-        // does `compact`; in-flight lock-free mutators are waited out,
-        // so the generation loaded below cannot be swapped and no
-        // bucket head can move under the batch.
-        let _serialize = self.pmem.quiesce();
-        let gen = self.active_gen()?;
-        let staged = self.stage_batch(&gen, ops)?;
-        let Some((lo, hi)) = staged.slots else {
-            // Nothing staged: no records, no tail movement to persist.
-            return Ok(staged.outcomes);
-        };
-
-        // Phase 2 — persist the records and the log tail with one
-        // coalesced flush each. The quiesce makes the reserved slots
-        // consecutive, so [lo, hi] covers exactly this batch.
-        // KvVariant::EarlyPublish omits the record flush — PSan's
-        // negative control: the phase-3 head CAS then publishes
-        // still-volatile records, which the sanitizer flags.
-        if self.variant != KvVariant::EarlyPublish {
-            self.pmem
-                .flush(POffset::new(lo), (hi - lo + RECORD_STRIDE) as usize)?;
-        }
-        self.pmem
-            .flush(POffset::new(gen.base + GEN_OFF_LOG_TAIL), 8)?;
-
-        // Phase 3 — publish: flip each touched bucket's head once, to
-        // the newest staged record. Intermediate staged heads are never
-        // published, so per bucket the batch is all-or-nothing.
-        for (&bucket, &new_head) in &staged.staged_heads {
-            let expected = staged.pre_heads[&bucket];
-            if !self.pmem.compare_exchange(
-                POffset::new(bucket),
-                &expected.to_le_bytes(),
-                &new_head.to_le_bytes(),
-            )? {
-                return Err(PError::CorruptStack(
-                    "bucket head moved under a group commit — every batched-store mutation \
-                     must register with the region's mutator gate"
-                        .into(),
-                ));
-            }
-        }
-
-        self.seal_batch(lo, hi, &staged.staged_heads)?;
-        Ok(staged.outcomes)
-    }
-
-    /// Phase 1 of a group commit, shared by the synchronous and
-    /// pipelined paths: resolve preconditions against the staged chain
-    /// state, reserve slots, write records (volatile). The caller
-    /// holds the region quiesced.
+    /// Phase 1 of a group commit: resolve preconditions against the
+    /// staged chain state, reserve slots, write records (volatile). The
+    /// caller holds the region quiesced.
     fn stage_batch(&self, gen: &Gen, ops: &[KvBatchOp]) -> Result<StagedBatch, PError> {
         let mut outcomes = vec![KvApplied::PrecondFailed; ops.len()];
         // Per touched bucket: the durable pre-batch head and the staged
@@ -1233,15 +1186,15 @@ impl PKvStore {
         })
     }
 
-    /// Phases 4–5 of a group commit, shared by the synchronous and
-    /// pipelined paths. The caller has published the heads (phase 3)
-    /// with records and log tail already durable.
+    /// Phases 4–5 of a group commit. The caller has published the
+    /// heads (phase 3) with records and log tail already durable.
+    /// Returns the flush-epoch bump's ticket, still in flight.
     fn seal_batch(
         &self,
         lo: u64,
         hi: u64,
         staged_heads: &BTreeMap<u64, u64>,
-    ) -> Result<(), PError> {
+    ) -> Result<FlushTicket, PError> {
         // Phase 4 — persist the heads: one flush spanning the touched
         // buckets (clean lines in between persist nothing, touched
         // lines coalesce).
@@ -1253,24 +1206,25 @@ impl PKvStore {
         self.pmem
             .flush(POffset::new(first), (last - first + 8) as usize)?;
 
-        // Phase 5 — bump and persist the flush epoch. The bump
-        // advertises the whole batch as durable, so under PSan both the
-        // record span and the published heads must be durable *now*.
+        // Phase 5 — bump the flush epoch and issue its persist. The
+        // bump advertises the whole batch as durable, so under PSan both
+        // the record span and the published heads must be durable *now*.
         self.pmem
             .psan_check_durable(POffset::new(lo), (hi - lo + RECORD_STRIDE) as usize);
         self.pmem
             .psan_check_durable(POffset::new(first), (last - first + 8) as usize);
         let epoch = self.pmem.read_u64(self.base + OFF_FLUSH_EPOCH)?;
         self.pmem
+            // persist-lint: allow(publish-no-persist) issued as a flight below; commit() or the deferred-commit caller awaits it
             .write_u64(self.base + OFF_FLUSH_EPOCH, epoch + 1)?;
-        self.pmem.flush(self.base + OFF_FLUSH_EPOCH, 8)?;
+        let ticket = self.pmem.flush_async(self.base + OFF_FLUSH_EPOCH, 8)?;
         pstack_telemetry::flush_epoch(self.pmem.telemetry_label_id(), epoch + 1);
-        Ok(())
+        Ok(ticket)
     }
 
     /// Stages a group commit and **issues** its record and log-tail
     /// persists as asynchronous flush commands without publishing:
-    /// phase 1 of [`PKvStore::apply_batch`] plus a pipelined phase 2.
+    /// phases 1–2 of [`PKvStore::apply_batch`].
     /// The two flights ride the device queue concurrently, so draining
     /// them costs about one round-trip instead of two — and while they
     /// are in flight the caller is free to build other work (another
@@ -1310,11 +1264,11 @@ impl PKvStore {
         let staged = self.stage_batch(&gen, ops)?;
         let mut tickets = Vec::new();
         if let Some((lo, hi)) = staged.slots {
-            // Pipelined phase 2: issue the record-span and log-tail
-            // flights back to back; their round-trips overlap in the
-            // device queue. KvVariant::EarlyPublish omits the record
-            // flight (PSan's negative control), exactly as the
-            // synchronous path omits the record flush.
+            // Phase 2: issue the record-span and log-tail flights back
+            // to back; their round-trips overlap in the device queue.
+            // KvVariant::EarlyPublish omits the record flight — PSan's
+            // negative control: the phase-3 head CAS then publishes
+            // still-volatile records, which the sanitizer flags.
             if self.variant != KvVariant::EarlyPublish {
                 tickets.push(
                     self.pmem
@@ -1780,14 +1734,18 @@ impl PKvStore {
             number: gen.number + 1,
             log_cap: new_cap,
         };
-        // Pipelined compaction overlaps durability with building: every
+        // Compaction overlaps durability with building: every
         // `CARRY_CHUNK` fully-written carry slots are issued as an
         // asynchronous flush flight whose round-trip runs while later
         // buckets are still being collected and written. The final
         // whole-block flight below covers the prefix (header + bucket
         // heads, written throughout this loop) and elides the lines
         // already staged in these chunk flights.
-        let pipelined = self.pipeline && self.variant != KvVariant::NoPersistBeforeSwap;
+        // KvVariant::NoPersistBeforeSwap persists none of the block —
+        // PSan's negative control: the root swap below then commits a
+        // still-volatile generation, which the sanitizer flags at the
+        // selector flip.
+        let persist = self.variant != KvVariant::NoPersistBeforeSwap;
         const CARRY_CHUNK: u64 = 64;
         let mut carry_tickets: Vec<FlushTicket> = Vec::new();
         let mut issued_upto = 0u64;
@@ -1812,7 +1770,7 @@ impl PKvStore {
                 self.pmem
                     .write_u64(self.bucket_off_at(&new_gen, b as u64), head)?;
             }
-            if pipelined && slot - issued_upto >= CARRY_CHUNK {
+            if persist && slot - issued_upto >= CARRY_CHUNK {
                 carry_tickets.push(self.pmem.flush_async(
                     POffset::new(self.record_off(&new_gen, issued_upto)),
                     ((slot - issued_upto) * RECORD_STRIDE) as usize,
@@ -1824,27 +1782,21 @@ impl PKvStore {
             .write_u64(POffset::new(nb + GEN_OFF_LOG_TAIL), live_total)?;
         self.pmem
             .write_u64(POffset::new(nb + GEN_OFF_CARRIED), live_total)?;
-        // One persist round-trip covers the contiguous prefix: header,
-        // buckets and every carry slot. (No-op on an eager region.)
-        // KvVariant::NoPersistBeforeSwap omits it — PSan's negative
-        // control: the root swap below then commits a still-volatile
-        // generation, which the sanitizer flags at the selector flip.
         let new_block_len = gen_prefix_len(self.nbuckets) + live_total * RECORD_STRIDE;
-        if pipelined {
+        if persist {
             // The final flight: the prefix (header + bucket heads) and
             // any carries past the last full chunk. Carry lines already
             // staged in the chunk flights are elided line by line, so
-            // no byte is persisted twice. Awaiting in issue order then
-            // drains the whole pipeline in about one round-trip.
+            // no byte is persisted twice. Flights complete in issue
+            // order, so awaiting the youngest first drains the whole
+            // pipeline in one round-trip. (No-op on an eager region.)
             carry_tickets.push(
                 self.pmem
                     .flush_async(POffset::new(nb), new_block_len as usize)?,
             );
-            for ticket in &carry_tickets {
+            for ticket in carry_tickets.iter().rev() {
                 self.pmem.await_ticket(ticket)?;
             }
-        } else if self.variant != KvVariant::NoPersistBeforeSwap {
-            self.pmem.flush(POffset::new(nb), new_block_len as usize)?;
         }
 
         // Step 3 — the commit point. Declare the new block as the
@@ -2022,13 +1974,6 @@ mod tests {
         (pmem, heap, kv)
     }
 
-    fn pipelined_fixture(nbuckets: u64, log_cap: u64) -> (PMem, PHeap, PKvStore) {
-        let (pmem, heap, mut kv) = buffered_fixture(nbuckets, log_cap);
-        kv.set_pipeline(true);
-        assert!(kv.is_pipelined());
-        (pmem, heap, kv)
-    }
-
     #[test]
     fn pipelined_batch_matches_synchronous_outcomes_and_state() {
         let ops = [
@@ -2057,9 +2002,14 @@ mod tests {
                 value: 80,
             },
         ];
+        // The synchronous reference is per-op lock-free publication,
+        // which persists record, tail and head before each op returns.
         let (_, _, sync_kv) = buffered_fixture(8, 64);
-        let (pmem, _, pipe_kv) = pipelined_fixture(8, 64);
-        let sync_out = sync_kv.apply_batch(&ops).unwrap();
+        let (pmem, _, pipe_kv) = buffered_fixture(8, 64);
+        let sync_out: Vec<KvApplied> = ops
+            .iter()
+            .map(|&op| sync_kv.apply_one(op).unwrap())
+            .collect();
         let pipe_out = pipe_kv.apply_batch(&ops).unwrap();
         assert_eq!(sync_out, pipe_out);
         assert_eq!(sync_kv.contents().unwrap(), pipe_kv.contents().unwrap());
@@ -2079,42 +2029,55 @@ mod tests {
 
     #[test]
     fn pipelined_batch_saves_a_round_trip() {
-        // With device latency L, a synchronous batch pays 4 round-trips
-        // (records, tail, heads, epoch); the pipeline overlaps records
-        // with the tail and pays ~3.
-        let lat = std::time::Duration::from_millis(5);
-        let mk = |pipeline: bool| {
-            let pmem = PMemBuilder::new()
-                .len(1 << 19)
-                .flush_latency(lat)
-                .build_in_memory();
-            let heap = PHeap::format(pmem.clone(), POffset::new(0), 1 << 19).unwrap();
-            let mut kv = PKvStore::format(pmem.clone(), &heap, 8, 64, KvVariant::Nsrl).unwrap();
-            kv.set_pipeline(pipeline);
-            let ops: Vec<KvBatchOp> = (0..16)
+        // Exact persist economy of one group-commit window: four
+        // persists (records, tail, heads, epoch), but records and tail
+        // ride flights awaited together, so the caller waits on three
+        // round-trips — one fewer than it persists.
+        let (pmem, _, kv) = buffered_fixture(8, 64);
+        let batch = |base: u64| -> Vec<KvBatchOp> {
+            (0..16)
                 .map(|i| KvBatchOp::Put {
                     pid: 0,
-                    seq: i + 1,
+                    seq: base + i + 1,
                     key: i,
                     value: i as i64,
                 })
-                .collect();
-            let t0 = std::time::Instant::now();
-            kv.apply_batch(&ops).unwrap();
-            t0.elapsed()
+                .collect()
         };
-        let sync = mk(false);
-        let pipe = mk(true);
-        assert!(sync >= lat * 4, "sync batch pays 4 round-trips: {sync:?}");
-        assert!(
-            pipe < sync - lat / 2,
-            "pipeline must save most of a round-trip: sync {sync:?} vs pipelined {pipe:?}"
-        );
+        let before = pmem.stats().snapshot();
+        kv.apply_batch(&batch(0)).unwrap();
+        let d = pmem.stats().snapshot() - before;
+        assert_eq!(d.persists, 4, "records, tail, heads, epoch: {d}");
+        assert_eq!(d.async_flushes, 3, "records, tail and epoch fly: {d}");
+        assert_eq!(d.round_trip_waits, 3, "records+tail, heads, epoch: {d}");
+        assert_eq!(kv.flush_epoch().unwrap(), 1);
+
+        // The deferred commit hands the epoch back in flight: the
+        // caller has waited on two round-trips when it returns, and
+        // pays the third only when it awaits the ticket (together with
+        // whatever it issued meanwhile).
+        let before = pmem.stats().snapshot();
+        let (outcomes, epoch) = kv
+            .apply_batch_begin(&batch(16))
+            .unwrap()
+            .commit_deferred(|| Ok(()))
+            .unwrap();
+        assert!(outcomes.iter().all(|o| o.took_effect()));
+        let d = pmem.stats().snapshot() - before;
+        assert_eq!(d.round_trip_waits, 2, "{d}");
+        assert_eq!(pmem.inflight_tickets(), 1, "the epoch bump is in flight");
+        pmem.await_ticket(&epoch.expect("a staged batch bumps the epoch"))
+            .unwrap();
+        let d = pmem.stats().snapshot() - before;
+        assert_eq!(d.round_trip_waits, 3, "{d}");
+        assert_eq!(d.persists, 4, "{d}");
+        assert_eq!(kv.flush_epoch().unwrap(), 2);
+        assert!(pmem.psan_violations().is_empty());
     }
 
     #[test]
     fn uncommitted_pending_batch_leaves_invisible_orphans() {
-        let (pmem, _, kv) = pipelined_fixture(8, 64);
+        let (pmem, _, kv) = buffered_fixture(8, 64);
         let pending = kv
             .apply_batch_begin(&[KvBatchOp::Put {
                 pid: 0,
@@ -2138,7 +2101,7 @@ mod tests {
 
     #[test]
     fn pipelined_compaction_preserves_live_state() {
-        let (pmem, heap, kv) = pipelined_fixture(8, 256);
+        let (pmem, heap, kv) = buffered_fixture(8, 256);
         // 128 live keys → two full 64-slot carry chunks, so the chunk
         // flights really overlap with carry building.
         for i in 0..128u64 {
@@ -2160,29 +2123,6 @@ mod tests {
             assert_eq!(kv2.get(i).unwrap(), Some(i as i64));
         }
         assert!(pmem2.psan_violations().is_empty());
-    }
-
-    #[test]
-    fn pipelined_early_publish_variant_is_flagged_at_the_head_cas() {
-        use pstack_nvram::PsanViolationKind;
-        let pmem = PMemBuilder::new().len(1 << 19).psan(true).build_in_memory();
-        let heap = PHeap::format(pmem.clone(), POffset::new(0), 1 << 19).unwrap();
-        let mut kv = PKvStore::format(pmem.clone(), &heap, 8, 64, KvVariant::EarlyPublish).unwrap();
-        kv.set_pipeline(true);
-        kv.apply_batch(&[KvBatchOp::Put {
-            pid: 0,
-            seq: 1,
-            key: 7,
-            value: 70,
-        }])
-        .unwrap();
-        let violations = pmem.psan_violations();
-        assert!(
-            violations
-                .iter()
-                .any(|v| matches!(v.kind, PsanViolationKind::EarlyPublish { .. })),
-            "pipelined negative control must still trip PSan: {violations:?}"
-        );
     }
 
     #[test]
@@ -2500,8 +2440,7 @@ mod tests {
         let probe = || {
             let pmem = PMemBuilder::new().len(1 << 16).psan(true).build_in_memory();
             let heap = PHeap::format(pmem.clone(), POffset::new(0), 1 << 16).unwrap();
-            let mut kv = PKvStore::format(pmem.clone(), &heap, 2, 16, KvVariant::Nsrl).unwrap();
-            kv.set_pipeline(true);
+            let kv = PKvStore::format(pmem.clone(), &heap, 2, 16, KvVariant::Nsrl).unwrap();
             (pmem, kv)
         };
 

@@ -319,8 +319,9 @@ struct FlightState {
 /// synchronous flush covering the same lines) blocks until the staged
 /// content is durable. Cheap value type, bound to the issuing region
 /// boot — awaiting it against another region or a reopened boot is an
-/// error.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// error. Tickets of one region order by issue: flights complete in
+/// that order, so awaiting the greatest of several awaits them all.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct FlushTicket {
     /// Identity of the issuing region boot.
     region: usize,
@@ -795,11 +796,15 @@ impl PMem {
             self.persist_range_locked(st, off.as_usize(), len)
         })?;
         self.settle_round_trip(probe, persisted);
-        if let Some(serial) = covering {
-            // Lines elided because an in-flight async flush already
-            // carries their snapshot: synchronous semantics ("durable
-            // on return") still hold — by awaiting that flight.
-            self.await_serial(serial)?;
+        // Lines elided because an in-flight async flush already carries
+        // their snapshot: synchronous semantics ("durable on return")
+        // still hold — by awaiting that flight.
+        let waited = match covering {
+            Some(serial) => self.await_serial(serial)?,
+            None => false,
+        };
+        if persisted > 0 || waited {
+            MemStats::bump(&self.inner.stats.round_trip_waits);
         }
         self.maybe_jitter();
         Ok(())
@@ -1029,19 +1034,23 @@ impl PMem {
                 "flush ticket belongs to a different region or boot".into(),
             ));
         }
-        self.await_serial(ticket.serial)
+        if self.await_serial(ticket.serial)? {
+            MemStats::bump(&self.inner.stats.round_trip_waits);
+        }
+        Ok(())
     }
 
     /// Completes every queued flight up to `serial`: sleeps out the
     /// youngest covered deadline with the region lock released (so
     /// concurrent awaits — and round-trips on other regions — overlap),
-    /// then applies the snapshots under the lock.
-    fn await_serial(&self, serial: u64) -> Result<(), MemError> {
+    /// then applies the snapshots under the lock. Returns `false` when
+    /// every such flight had already completed (nothing to wait for).
+    fn await_serial(&self, serial: u64) -> Result<bool, MemError> {
         let deadline = {
             let st = self.inner.state.lock();
             // A completed ticket stays `Ok`, even after a crash.
             if st.flights.completed >= serial {
-                return Ok(());
+                return Ok(false);
             }
             self.check_alive()?;
             st.flights
@@ -1076,7 +1085,7 @@ impl PMem {
             self.inner.tlabel.load(Ordering::Relaxed),
             persisted as usize,
         );
-        Ok(())
+        Ok(true)
     }
 
     /// Applies one completed flight: copies its snapshots into the
@@ -1149,7 +1158,9 @@ impl PMem {
     /// crash surfaces on the next access.
     pub fn fence(&self) {
         let target = self.inner.state.lock().flights.issued;
-        let _ = self.await_serial(target);
+        if let Ok(true) = self.await_serial(target) {
+            MemStats::bump(&self.inner.stats.round_trip_waits);
+        }
         MemStats::bump(&self.inner.stats.fences);
         pstack_telemetry::fence_event(self.inner.tlabel.load(Ordering::Relaxed));
         if let Some(psan) = &self.inner.psan {

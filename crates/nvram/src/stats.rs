@@ -24,6 +24,7 @@ pub struct MemStats {
     pub(crate) elided_lines: AtomicU64,
     pub(crate) async_latency_charged_ns: AtomicU64,
     pub(crate) async_latency_waited_ns: AtomicU64,
+    pub(crate) round_trip_waits: AtomicU64,
     pub(crate) fences: AtomicU64,
     pub(crate) cas_ops: AtomicU64,
     pub(crate) crashes: AtomicU64,
@@ -46,6 +47,7 @@ impl MemStats {
             elided_lines: self.elided_lines.load(Ordering::Relaxed),
             async_latency_charged_ns: self.async_latency_charged_ns.load(Ordering::Relaxed),
             async_latency_waited_ns: self.async_latency_waited_ns.load(Ordering::Relaxed),
+            round_trip_waits: self.round_trip_waits.load(Ordering::Relaxed),
             fences: self.fences.load(Ordering::Relaxed),
             cas_ops: self.cas_ops.load(Ordering::Relaxed),
             crashes: self.crashes.load(Ordering::Relaxed),
@@ -124,6 +126,14 @@ pub struct StatsSnapshot {
     /// Nanoseconds callers actually slept in awaits — the part of the
     /// charged latency the pipeline failed to hide.
     pub async_latency_waited_ns: u64,
+    /// Persist round-trips a caller blocked on: synchronous flushes
+    /// that made a line durable (or awaited a flight carrying one),
+    /// plus awaits and fences that found a flight still queued. Flights
+    /// issued back to back and awaited youngest-first count once, and
+    /// an await whose flight an earlier await already completed counts
+    /// nothing — so on a device where every round-trip costs the same
+    /// latency this is the latency a caller paid, in round-trips.
+    pub round_trip_waits: u64,
     /// Number of persistence fences.
     pub fences: u64,
     /// Number of compare-exchange operations.
@@ -149,6 +159,7 @@ impl std::ops::Sub for StatsSnapshot {
             elided_lines: self.elided_lines - rhs.elided_lines,
             async_latency_charged_ns: self.async_latency_charged_ns - rhs.async_latency_charged_ns,
             async_latency_waited_ns: self.async_latency_waited_ns - rhs.async_latency_waited_ns,
+            round_trip_waits: self.round_trip_waits - rhs.round_trip_waits,
             fences: self.fences - rhs.fences,
             cas_ops: self.cas_ops - rhs.cas_ops,
             crashes: self.crashes - rhs.crashes,
@@ -175,6 +186,7 @@ impl std::ops::Add for StatsSnapshot {
             elided_lines: self.elided_lines + rhs.elided_lines,
             async_latency_charged_ns: self.async_latency_charged_ns + rhs.async_latency_charged_ns,
             async_latency_waited_ns: self.async_latency_waited_ns + rhs.async_latency_waited_ns,
+            round_trip_waits: self.round_trip_waits + rhs.round_trip_waits,
             fences: self.fences + rhs.fences,
             cas_ops: self.cas_ops + rhs.cas_ops,
             crashes: self.crashes + rhs.crashes,
@@ -189,7 +201,7 @@ impl fmt::Display for StatsSnapshot {
             "reads={} writes={} bytes_written={} flush_calls={} lines_persisted={} \
              persists={} coalesced_lines={} redundant_persists={} async_flushes={} \
              elided_lines={} async_latency_charged_ns={} async_latency_waited_ns={} \
-             fences={} cas_ops={} crashes={}",
+             round_trip_waits={} fences={} cas_ops={} crashes={}",
             self.reads,
             self.writes,
             self.bytes_written,
@@ -202,6 +214,7 @@ impl fmt::Display for StatsSnapshot {
             self.elided_lines,
             self.async_latency_charged_ns,
             self.async_latency_waited_ns,
+            self.round_trip_waits,
             self.fences,
             self.cas_ops,
             self.crashes

@@ -8,10 +8,13 @@
 //! that:
 //!
 //! 1. **The request table** ([`KvRequestTable`], one per shard): a
-//!    request's descriptor is persisted *before* anything executes, so
-//!    a retry of an answered request replays the durable answer and a
-//!    retry of a pending request re-enters execution without a second
-//!    slot.
+//!    request's descriptor is durable before its window executes
+//!    anything, so a retry of an answered request replays the durable
+//!    answer and a retry of a pending request re-enters execution
+//!    without a second slot. Admission only *issues* the descriptor's
+//!    persist; the window waits for it before its first effect
+//!    publishes (PSan checks this), by which time the device latency
+//!    has usually passed.
 //! 2. **The store's evidence scan**: version records are tagged
 //!    `(pid = client_id, seq = req_id)` — a tag stable across retries
 //!    and across executing workers. Any execution that *might* be a
@@ -21,14 +24,31 @@
 //!    execution's record was already published. The table is the fast
 //!    path; the evidence scan is the authority.
 //!
-//! The rule that makes layer 2 sufficient: a window is executed via
-//! [`PKvStore::apply_batch`] only the *first* time its requests are
+//! The rule that makes layer 2 sufficient: a window is executed as a
+//! plain group commit ([`PKvStore::apply_batch_begin`]) only the
+//! *first* time its requests are
 //! drained in the boot that admitted them. Every other path — client
 //! retries, post-reboot re-admission, persistent-stack frame replay —
 //! goes through [`PKvStore::recover_batch`]. Running a never-executed
 //! request through the recovery dual is safe (no evidence → executes
 //! normally), so the recovery path is a safe superset and a window
-//! containing any retried entry simply runs entirely as recovery.
+//! containing any retried entry simply runs entirely as recovery. A
+//! replayed window also carries each entry's request id and skips a
+//! slot that no longer holds it: the window's frame can be durable
+//! while the crash lost the descriptor's flight.
+//!
+//! # Round-trips per served mutation
+//!
+//! On a device where every persist round-trip costs the same latency,
+//! a served mutation waits on six, all in its window: two for the
+//! persistent-stack CALL, one for its records and log tail (two flights
+//! awaited together, which also complete the window's descriptor
+//! flights), one for the bucket heads, one for the flush-epoch bump and
+//! the answers (two flights awaited together), and one for the RET.
+//! Admission waits on none; the client's ack waits on one.
+//!
+//! [`PKvStore::apply_batch_begin`]: pstack_kv::PKvStore::apply_batch_begin
+//! [`PKvStore::recover_batch`]: pstack_kv::PKvStore::recover_batch
 //!
 //! # Admission control
 //!
@@ -50,7 +70,7 @@ use pstack_kv::{
     KvApplied, KvBatchOp, KvRequestTable, KvTaskAnswer, KvTaskOp, KvTaskResult, ReqSubmit,
     ShardedKvStore,
 };
-use pstack_nvram::op_label;
+use pstack_nvram::{op_label, FlushTicket};
 
 use crate::proto::{client_of, kind_of, Request, RequestBody, Response};
 
@@ -75,6 +95,10 @@ pub enum Submission {
     /// would re-execute an effect that already ran exactly once.
     Stale,
 }
+
+/// One batch window: its shard, whether it must run through the
+/// recovery duals, and its `(slot, req_id)` entries.
+type Window = (u32, bool, Vec<(u32, u64)>);
 
 /// One queued request, with the execution mode it must use.
 #[derive(Debug, Clone, Copy)]
@@ -137,20 +161,24 @@ impl KvServeFunction {
     }
 
     /// Encodes a batch window as task arguments:
-    /// `[shard u32][recovery u8][count u32][slot u32 × count]`.
+    /// `[shard u32][recovery u8][count u32][(slot u32, req_id u64) × count]`.
+    /// The request ids let a replayed window tell a slot that still
+    /// holds its request from one whose descriptor was lost in the
+    /// crash (see [`KvServeFunction::execute_windows`]).
     #[must_use]
-    pub fn window_args(shard: u32, recovery: bool, slots: &[u32]) -> Vec<u8> {
-        let mut b = Vec::with_capacity(9 + slots.len() * 4);
+    pub fn window_args(shard: u32, recovery: bool, entries: &[(u32, u64)]) -> Vec<u8> {
+        let mut b = Vec::with_capacity(9 + entries.len() * 12);
         b.extend_from_slice(&shard.to_le_bytes());
         b.push(u8::from(recovery));
-        b.extend_from_slice(&(slots.len() as u32).to_le_bytes());
-        for &slot in slots {
+        b.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+        for &(slot, req_id) in entries {
             b.extend_from_slice(&slot.to_le_bytes());
+            b.extend_from_slice(&req_id.to_le_bytes());
         }
         b
     }
 
-    fn parse_args(args: &[u8]) -> Result<(u32, bool, Vec<u32>), PError> {
+    fn parse_args(args: &[u8]) -> Result<Window, PError> {
         if args.len() < 9 {
             return Err(PError::Task(
                 "serve window arguments need (shard, recovery, count)".into(),
@@ -159,70 +187,46 @@ impl KvServeFunction {
         let shard = u32::from_le_bytes(args[..4].try_into().expect("slice length"));
         let recovery = args[4] != 0;
         let count = u32::from_le_bytes(args[5..9].try_into().expect("slice length")) as usize;
-        if args.len() != 9 + count * 4 {
+        if args.len() != 9 + count * 12 {
             return Err(PError::Task(format!(
                 "serve window names {count} slots but carries {} bytes",
                 args.len()
             )));
         }
-        let slots = args[9..]
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("slice length")))
+        let entries = args[9..]
+            .chunks_exact(12)
+            .map(|c| {
+                (
+                    u32::from_le_bytes(c[..4].try_into().expect("slice length")),
+                    u64::from_le_bytes(c[4..].try_into().expect("slice length")),
+                )
+            })
             .collect();
-        Ok((shard, recovery, slots))
+        Ok((shard, recovery, entries))
     }
 
-    /// Executes one batch window: answered slots are skipped (their
-    /// answers are simply re-collected), gets resolve against committed
-    /// state, mutations group-commit through the shard's
-    /// [`PKvStore::apply_batch`] — or its evidence-scanning
-    /// [`PKvStore::recover_batch`] dual when `recovery` — and all
-    /// answers persist with one coalesced
-    /// [`KvRequestTable::mark_done_batch`] *before* any `(req_id,
-    /// answer)` pair is returned for acking: answers are durable before
-    /// they are visible.
+    /// Executes one round of batch windows, at most one per shard, and
+    /// returns the `(req_id, answer)` pairs they answered.
     ///
-    /// # Errors
+    /// Each window skips entries whose slot no longer holds their
+    /// request (a frame replayed over a descriptor lost in the crash),
+    /// replays already-durable answers, resolves gets against committed
+    /// state and group-commits its mutations. Non-recovery windows are
+    /// **begun** first — each shard's record/log-tail persists are
+    /// issued as flush flights, back to back across the shard regions —
+    /// and committed afterwards; each commit waits for its slots'
+    /// descriptors ([`KvRequestTable::await_descriptors`]) before its
+    /// first bucket-head CAS. Windows with a retried entry run through
+    /// the evidence-scanning [`PKvStore::recover_batch`] dual instead,
+    /// serially.
     ///
-    /// Shard out of range ([`PError::Task`]), or propagated store/NVRAM
-    /// errors.
-    pub fn execute_window(
-        &self,
-        shard: u32,
-        slots: &[u32],
-        recovery: bool,
-        executor: u32,
-    ) -> Result<Vec<(u64, KvTaskAnswer)>, PError> {
-        let _label = op_label(if recovery {
-            "server.window.recover"
-        } else {
-            "server.window"
-        });
-        let stage = self.stage_window(shard, slots, executor)?;
-        let outcomes = if stage.staged.is_empty() {
-            Vec::new()
-        } else {
-            let pstore = self.store.shard(shard as usize);
-            let ops: Vec<KvBatchOp> = stage.staged.iter().map(|&(_, _, op)| op).collect();
-            if recovery {
-                pstore.recover_batch(&ops)?
-            } else {
-                pstore.apply_batch(&ops)?
-            }
-        };
-        Self::finish_window(stage, outcomes)
-    }
-
-    /// Executes one round of batch windows, at most one per shard. On a
-    /// pipelined store ([`ShardedKvStore::set_pipeline`]) the
-    /// non-recovery windows are **begun** first — each shard's
-    /// record/log-tail persists are issued as asynchronous flush
-    /// flights, back to back across the shard regions — and committed
-    /// afterwards, so the whole round drains the flush pipeline in
-    /// about one device round-trip instead of each shard awaiting its
-    /// own serially. Recovery windows, and every window on a
-    /// non-pipelined store, run through
-    /// [`KvServeFunction::execute_window`] unchanged.
+    /// Once a window's heads are durable its flush-epoch bump and its
+    /// answers ([`KvRequestTable::issue_answers`]) are issued as two
+    /// flights; every flight is awaited before any pair is returned —
+    /// answers are durable before they are visible, for one round-trip
+    /// per region.
+    ///
+    /// [`PKvStore::recover_batch`]: pstack_kv::PKvStore::recover_batch
     ///
     /// # Errors
     ///
@@ -230,45 +234,57 @@ impl KvServeFunction {
     /// errors.
     pub fn execute_windows(
         &self,
-        windows: &[(u32, bool, Vec<u32>)],
+        windows: &[Window],
         executor: u32,
     ) -> Result<Vec<(u64, KvTaskAnswer)>, PError> {
-        let mut ready = Vec::new();
-        if !self.store.is_pipelined() {
-            for (shard, recovery, slots) in windows {
-                ready.extend(self.execute_window(*shard, slots, *recovery, executor)?);
-            }
-            return Ok(ready);
-        }
-        let _label = op_label("server.windows");
-        let mut pending = Vec::new();
-        for (shard, recovery, slots) in windows {
+        let _label = op_label("server.window");
+        let mut begun = Vec::new();
+        let mut committed = Vec::new();
+        for (shard, recovery, entries) in windows {
+            let stage = self.stage_window(*shard, entries, executor)?;
+            let pstore = self.store.shard(stage.shard);
+            let ops: Vec<KvBatchOp> = stage.staged.iter().map(|&(_, _, op)| op).collect();
             if *recovery {
                 // The evidence-scanning duals stay serial: recovery is
                 // off the hot path by design, and mixing scans into an
                 // open pipeline would buy nothing.
-                ready.extend(self.execute_window(*shard, slots, true, executor)?);
-                continue;
+                let _label = op_label("server.window.recover");
+                stage.table.await_descriptors(&stage.mutation_slots())?;
+                let outcomes = pstore.recover_batch(&ops)?;
+                committed.push((stage, outcomes, None));
+            } else {
+                begun.push((stage, pstore.apply_batch_begin(&ops)?));
             }
-            let stage = self.stage_window(*shard, slots, executor)?;
-            let ops: Vec<KvBatchOp> = stage.staged.iter().map(|&(_, _, op)| op).collect();
-            let batch = self.store.shard(*shard as usize).apply_batch_begin(&ops)?;
-            pending.push((stage, batch));
         }
-        for (stage, batch) in pending {
-            let outcomes = batch.commit()?;
-            ready.extend(Self::finish_window(stage, outcomes)?);
+        for (stage, batch) in begun {
+            let slots = stage.mutation_slots();
+            let (outcomes, epoch) =
+                batch.commit_deferred(|| stage.table.await_descriptors(&slots))?;
+            committed.push((stage, outcomes, epoch));
+        }
+        let mut ready = Vec::new();
+        let mut flights = Vec::new();
+        for (stage, outcomes, epoch) in committed {
+            let shard = stage.shard;
+            let answered = Self::finish_window(stage, outcomes, &mut ready)?;
+            flights.extend(epoch.into_iter().chain(answered).map(|t| (t, shard)));
+        }
+        // Youngest first: flights complete in issue order, so each
+        // region's first await drains the rest of its flights.
+        flights.sort_unstable_by(|a, b| b.cmp(a));
+        for (ticket, shard) in flights {
+            self.store.shard(shard).pmem().await_ticket(&ticket)?;
         }
         Ok(ready)
     }
 
-    /// The read-and-stage half of a window: replays already-durable
-    /// answers, resolves gets against committed state, and collects the
-    /// mutations to group-commit.
+    /// The read-and-stage half of a window: skips stale entries,
+    /// replays already-durable answers, resolves gets against committed
+    /// state, and collects the mutations to group-commit.
     fn stage_window(
         &self,
         shard: u32,
-        slots: &[u32],
+        entries: &[(u32, u64)],
         executor: u32,
     ) -> Result<WindowStage<'_>, PError> {
         let table = self.tables.get(shard as usize).ok_or_else(|| {
@@ -281,8 +297,14 @@ impl KvServeFunction {
         let mut answers: Vec<(u32, u32, KvTaskResult)> = Vec::new();
         let mut ready: Vec<(u64, KvTaskAnswer)> = Vec::new();
         let mut staged: Vec<(u32, u64, KvBatchOp)> = Vec::new();
-        for &slot in slots {
-            let req_id = table.req_id(slot)?;
+        for &(slot, req_id) in entries {
+            // A window's frame can be durable while a crash lost its
+            // descriptor flight: the slot then holds nothing or its
+            // previous occupant, and executing it would run a phantom
+            // request. The client's retry re-admits the real one.
+            if table.req_id(slot)? != req_id {
+                continue;
+            }
             if let Some(answer) = table.result(slot)? {
                 ready.push((req_id, answer)); // already durable: replay only
                 continue;
@@ -325,6 +347,7 @@ impl KvServeFunction {
             }
         }
         Ok(WindowStage {
+            shard: shard as usize,
             table,
             executor,
             answers,
@@ -334,14 +357,15 @@ impl KvServeFunction {
     }
 
     /// The answer half of a window: maps group-commit outcomes to
-    /// results, persists all answers with one coalesced
-    /// [`KvRequestTable::mark_done_batch`], and only then returns the
-    /// `(req_id, answer)` pairs — answers are durable before they are
-    /// visible.
+    /// results, issues all answers as one coalesced flight
+    /// ([`KvRequestTable::issue_answers`]) and appends the `(req_id,
+    /// answer)` pairs to `ready`. Returns that flight's ticket, which
+    /// the caller must await before showing any pair to a client.
     fn finish_window(
         mut stage: WindowStage<'_>,
         outcomes: Vec<KvApplied>,
-    ) -> Result<Vec<(u64, KvTaskAnswer)>, PError> {
+        ready: &mut Vec<(u64, KvTaskAnswer)>,
+    ) -> Result<Option<FlushTicket>, PError> {
         for (&(slot, _, op), outcome) in stage.staged.iter().zip(outcomes) {
             let result = match op {
                 KvBatchOp::Put { .. } => KvTaskResult::Stored(outcome.took_effect()),
@@ -350,14 +374,13 @@ impl KvServeFunction {
             };
             stage.answers.push((slot, stage.executor, result));
         }
-        stage.table.mark_done_batch(&stage.answers)?;
+        let answered = stage.table.issue_answers(&stage.answers)?;
+        ready.append(&mut stage.ready);
         for &(slot, executor, result) in &stage.answers {
             let req_id = stage.table.req_id(slot)?;
-            stage
-                .ready
-                .push((req_id, KvTaskAnswer { executor, result }));
+            ready.push((req_id, KvTaskAnswer { executor, result }));
         }
-        Ok(stage.ready)
+        Ok(answered)
     }
 }
 
@@ -366,6 +389,7 @@ impl KvServeFunction {
 /// get answers in `answers`, mutations awaiting their group commit in
 /// `staged`.
 struct WindowStage<'a> {
+    shard: usize,
     table: &'a KvRequestTable,
     executor: u32,
     answers: Vec<(u32, u32, KvTaskResult)>,
@@ -373,18 +397,25 @@ struct WindowStage<'a> {
     staged: Vec<(u32, u64, KvBatchOp)>,
 }
 
+impl WindowStage<'_> {
+    /// Slots of the staged mutations — the descriptors that must be
+    /// durable before the window's first effect publishes.
+    fn mutation_slots(&self) -> Vec<u32> {
+        self.staged.iter().map(|&(slot, ..)| slot).collect()
+    }
+}
+
 impl RecoverableFunction for KvServeFunction {
     fn call(&self, ctx: &mut PContext<'_>, args: &[u8]) -> Result<Option<RetBytes>, PError> {
-        let (shard, recovery, slots) = Self::parse_args(args)?;
-        let done = self.execute_window(shard, &slots, recovery, ctx.pid as u32)?;
+        let done = self.execute_windows(&[Self::parse_args(args)?], ctx.pid as u32)?;
         Ok(Self::encode_count(done.len()))
     }
 
     fn recover(&self, ctx: &mut PContext<'_>, args: &[u8]) -> Result<Option<RetBytes>, PError> {
-        let (shard, _, slots) = Self::parse_args(args)?;
+        let (shard, _, entries) = Self::parse_args(args)?;
         // A replayed frame might have executed before the crash: always
         // the evidence-scanning duals.
-        let done = self.execute_window(shard, &slots, true, ctx.pid as u32)?;
+        let done = self.execute_windows(&[(shard, true, entries)], ctx.pid as u32)?;
         Ok(Self::encode_count(done.len()))
     }
 }
@@ -449,8 +480,10 @@ impl ServerCore {
         self.shards.iter().map(|s| s.queue.admitted()).sum()
     }
 
-    /// Admits one operation request. The descriptor is durable when
-    /// this returns [`Submission::Queued`].
+    /// Admits one operation request. On [`Submission::Queued`] the
+    /// descriptor's persist is in flight, not awaited: it is durable
+    /// before the request's window executes, which waits for it before
+    /// any effect publishes.
     ///
     /// # Errors
     ///
@@ -514,13 +547,14 @@ impl ServerCore {
     }
 
     /// Drains each shard's queue into at most one batch-window entry
-    /// list. Returns `(shard, recovery, entries)` triples; the caller
+    /// list. Returns `(shard, recovery, (slot, req_id) entries)`
+    /// triples; the caller
     /// decides how to execute them (directly, or as runtime tasks).
     ///
     /// # Panics
     ///
     /// Panics if a queue lock is poisoned.
-    fn drain(&self) -> Vec<(u32, bool, Vec<WindowEntry>)> {
+    fn drain(&self) -> Vec<Window> {
         let mut windows = Vec::new();
         for (shard, sq) in self.shards.iter().enumerate() {
             let entries = sq.queue.drain_window(self.batch);
@@ -532,6 +566,7 @@ impl ServerCore {
                 queued.remove(&e.req_id);
             }
             let recovery = entries.iter().any(|e| e.recovery);
+            let entries = entries.iter().map(|e| (e.slot, e.req_id)).collect();
             windows.push((shard as u32, recovery, entries));
         }
         windows
@@ -547,12 +582,11 @@ impl ServerCore {
         let mut tasks = Vec::new();
         let mut req_ids = Vec::new();
         for (shard, recovery, entries) in self.drain() {
-            let slots: Vec<u32> = entries.iter().map(|e| e.slot).collect();
             tasks.push(Task::new(
                 KV_SERVE_FUNC_ID,
-                KvServeFunction::window_args(shard, recovery, &slots),
+                KvServeFunction::window_args(shard, recovery, &entries),
             ));
-            req_ids.extend(entries.iter().map(|e| e.req_id));
+            req_ids.extend(entries.iter().map(|&(_, req_id)| req_id));
         }
         (tasks, req_ids)
     }
@@ -586,20 +620,9 @@ impl ServerCore {
     ///
     /// Propagated store/table/NVRAM errors.
     pub fn pump_direct(&self, executor: u32) -> Result<Vec<(u64, KvTaskAnswer)>, PError> {
-        let windows: Vec<(u32, bool, Vec<u32>)> = self
-            .drain()
-            .into_iter()
-            .map(|(shard, recovery, entries)| {
-                (
-                    shard,
-                    recovery,
-                    entries.iter().map(|e| e.slot).collect::<Vec<u32>>(),
-                )
-            })
-            .collect();
-        // One call for the whole round: on a pipelined store the
-        // shards' flush flights overlap across regions.
-        self.exec.execute_windows(&windows, executor)
+        // One call for the whole round: the shards' flush flights
+        // overlap across regions.
+        self.exec.execute_windows(&self.drain(), executor)
     }
 
     /// Fully serves one request synchronously: admit, pump until its
@@ -876,8 +899,11 @@ mod tests {
         // Execute the window twice through the function's own paths,
         // mimicking call-then-replay.
         let slot = exec.tables[0].lookup(req).unwrap().unwrap().0;
-        exec.execute_window(0, &[slot], false, 1).unwrap();
-        let replay = exec.execute_window(0, &[slot], true, 2).unwrap();
+        exec.execute_windows(&[(0, false, vec![(slot, req)])], 1)
+            .unwrap();
+        let replay = exec
+            .execute_windows(&[(0, true, vec![(slot, req)])], 2)
+            .unwrap();
         assert_eq!(replay.len(), 1);
         assert_eq!(
             replay[0].1.executor, 1,
